@@ -54,10 +54,15 @@ class SubjectRecord:
     dropout: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.entry_time < 0.0:
-            raise DataValidationError(f"entry time must be non-negative, got {self.entry_time}")
-        if self.time_on_study < 0.0:
-            raise DataValidationError(f"time on study must be non-negative, got {self.time_on_study}")
+        # written so that NaN fails too
+        if not (self.entry_time >= 0.0 and math.isfinite(self.entry_time)):
+            raise DataValidationError(
+                f"entry time must be finite and non-negative, got {self.entry_time}"
+            )
+        if not (self.time_on_study >= 0.0 and math.isfinite(self.time_on_study)):
+            raise DataValidationError(
+                f"time on study must be finite and non-negative, got {self.time_on_study}"
+            )
         if self.event and self.dropout:
             raise DataValidationError("a subject cannot both have an event and drop out")
 
@@ -72,8 +77,8 @@ class TrialDataset:
     def __post_init__(self) -> None:
         if not self.subjects:
             raise DataValidationError("dataset contains no subjects")
-        if not self.analysis_time > 0.0:
-            raise DataValidationError("analysis time must be positive")
+        if not (self.analysis_time > 0.0 and math.isfinite(self.analysis_time)):
+            raise DataValidationError("analysis time must be positive and finite")
         t = self.analysis_time
         for i, rec in enumerate(self.subjects):
             if rec.entry_time > t:

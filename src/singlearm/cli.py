@@ -63,6 +63,7 @@ from .presets import (
     SWEEP_SAMPLE_SIZES,
     SWEEP_TARGET_RATES,
     SWEEP_WEIGHTS,
+    pbc_design,
     sweep_censoring,
     sweep_truth,
 )
@@ -370,16 +371,18 @@ def write_subject_csv(path: str, data: TrialDataset) -> None:
 
 def read_subject_csv(path: str, analysis_time: float) -> TrialDataset:
     """Parse a subject CSV into a validated dataset."""
-    entry, time_on_study, event, dropout = _read_subject_csv(path)
+    entry, time_on_study, event, dropout, lines = _read_subject_csv(path)
     try:
         return TrialDataset.from_arrays(entry, time_on_study, event, analysis_time, dropout)
     except DataValidationError as exc:
         if exc.record_index is not None:
-            raise DataValidationError(f"{path} line {exc.record_index + 2}: {exc}") from None
+            raise DataValidationError(f"{path} line {lines[exc.record_index]}: {exc}") from None
         raise
 
 
 def _read_subject_csv(path: str):
+    """Columns of a subject CSV plus the file line of each record, since
+    blank rows are skipped."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -399,7 +402,7 @@ def _read_subject_csv(path: str):
             raise DataValidationError(
                 f"{path}: header must be {','.join(_CSV_HEADER)} optionally followed by dropout"
             )
-        entry, time_on_study, event, dropout = [], [], [], []
+        entry, time_on_study, event, dropout, lines = [], [], [], [], []
         expected_cols = 4 if has_dropout else 3
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -424,6 +427,7 @@ def _read_subject_csv(path: str):
                 if dflag not in ("0", "1"):
                     raise DataValidationError(f"{path} line {line_no}: dropout must be 0 or 1")
                 dropout.append(dflag == "1")
+            lines.append(line_no)
     if not entry:
         raise DataValidationError(f"{path}: no subject rows")
     return (
@@ -431,6 +435,7 @@ def _read_subject_csv(path: str):
         np.array(time_on_study),
         np.array(event, dtype=bool),
         np.array(dropout, dtype=bool) if has_dropout else None,
+        lines,
     )
 
 
@@ -586,13 +591,15 @@ def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
         )
         payload = {"rows": [_jsonify(cell) for cell in cells]}
     elif preset == "pbc":
+        pbc = pbc_design(PBC_POLICIES[0])
         cells = scenario_table(
-            (1.22,),
-            (9.0,),
-            (1.75,),
+            (pbc.null_model.shape,),
+            (pbc.null_model.median,),
+            (pbc.hazard_ratio,),
             PBC_POLICIES,
-            accrual_length=5.0,
-            follow_up=3.0,
+            accrual_length=pbc.accrual_length,
+            follow_up=pbc.follow_up,
+            dropout=pbc.dropout,
             alpha=cfg["alpha"],
             beta=1.0 - cfg["power"],
             replications=cfg["replications"],

@@ -2,17 +2,20 @@
 
 Replications are partitioned into fixed-size blocks; block ``b`` draws all
 of its randomness from the counter-based stream keyed by
-``(master_seed, b)``, and aggregation is plain integer counting. Both
+``(master_seed, b)`` (``(master_seed, (k << 32) | b)`` for the k-th sample
+size of a weight sweep), and aggregation is plain integer counting. Both
 choices are what make a run's results bit-identical no matter how the
 blocks are distributed over worker processes.
 
-Within one replication every weight policy sees the same dataset (common
-random numbers), so policies differ only through the variance denominator
-of the standardized statistic.
+One block kernel, ``_run_blocks``, serves scenarios, sweeps and tables:
+within one replication every weight sees the same dataset (common random
+numbers), so weights differ only through the variance denominator of the
+standardized statistic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, replace
@@ -164,67 +167,75 @@ class SimulationReport:
         raise KeyError(label)
 
 
-def _resolve_scenario_weights(spec: ScenarioSpec) -> list[float | None]:
-    """Numeric weight per policy; None marks the data-driven policy."""
-    weights: list[float | None] = []
-    for policy in spec.policies:
-        if policy.kind == "random_km":
-            weights.append(None)
-        else:
-            weights.append(
-                resolve_weight(
-                    policy, spec.null_model, spec.planning_alternative, spec.censoring
-                )
-            )
-    return weights
-
-
-# counter slots per policy
+# counter slots per weight
 _K_TWO, _K_LEFT, _K_RIGHT, _K_IND, _K_FB = range(5)
 
 
-def _run_blocks(spec: ScenarioSpec, block_indices: Iterable[int]) -> np.ndarray:
-    """Tally one set of blocks; returns an int64 array (policies, 5)."""
-    weights = _resolve_scenario_weights(spec)
-    needs_km = any(w is None for w in weights)
-    km_fallback = (
-        weight_uncorrelated_null(spec.null_model, spec.censoring) if needs_km else None
-    )
+def _run_blocks(
+    spec: ScenarioSpec,
+    weights: tuple[float | None, ...],
+    km_fallback: float | None,
+    stream_base: int,
+    block_indices: Iterable[int],
+) -> np.ndarray:
+    """Tally one set of blocks for every weight at once; returns an int64
+    array (weights, 5). A ``None`` weight is estimated per replication by
+    Kaplan-Meier, with ``km_fallback`` where the data carry no censoring
+    information. Block ``b`` draws from stream ``stream_base | b``."""
     z_crit = normal_quantile(1.0 - spec.alpha / 2.0)
     reps_per_block = _block_reps(spec.n)
+    km_rows = [j for j, w in enumerate(weights) if w is None]
+    w_col = np.array([0.0 if w is None else w for w in weights])[:, None]
     counters = np.zeros((len(weights), 5), dtype=np.int64)
 
     for b in block_indices:
         reps_here = min(reps_per_block, spec.replications - b * reps_per_block)
-        if reps_here <= 0:
-            continue
-        rng = substream(spec.master_seed, b)
+        rng = substream(spec.master_seed, stream_base | b)
         arrays = draw_trial(spec.truth_model, spec.censoring, rng, reps_here, spec.n)
         n_events = arrays.event.sum(axis=1)
         a0 = np.asarray(spec.null_model.cum_hazard(arrays.time_on_study)).sum(axis=1)
-        diff = n_events - a0
 
-        for j, w in enumerate(weights):
-            if w is None:
-                rep_weights = np.empty(reps_here)
-                for i in range(reps_here):
-                    result = km_weight_from_arrays(
-                        arrays.time_on_study[i], arrays.event[i], spec.null_model, km_fallback
-                    )
-                    rep_weights[i] = result.weight
-                    counters[j, _K_FB] += result.used_fallback
-                variance = rep_weights * n_events + (1.0 - rep_weights) * a0
-            else:
-                variance = w * n_events + (1.0 - w) * a0
-            ok = variance > 0.0
-            z = diff[ok] / np.sqrt(variance[ok])
-            left = z <= -z_crit
-            right = z >= z_crit
-            counters[j, _K_TWO] += int(np.count_nonzero(left | right))
-            counters[j, _K_LEFT] += int(np.count_nonzero(left))
-            counters[j, _K_RIGHT] += int(np.count_nonzero(right))
-            counters[j, _K_IND] += int(reps_here - np.count_nonzero(ok))
+        w = w_col
+        if km_rows:
+            w = np.repeat(w_col, reps_here, axis=1)
+            results = [
+                km_weight_from_arrays(times, events, spec.null_model, km_fallback)
+                for times, events in zip(arrays.time_on_study, arrays.event)
+            ]
+            w[km_rows] = [r.weight for r in results]
+            counters[km_rows, _K_FB] += sum(r.used_fallback for r in results)
+        variance = w * n_events + (1.0 - w) * a0
+        ok = variance > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = (n_events - a0) / np.sqrt(variance)
+        n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
+        n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
+        counters[:, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
+        counters[:, _K_LEFT] += n_left
+        counters[:, _K_RIGHT] += n_right
+        counters[:, _K_IND] += reps_here - np.count_nonzero(ok, axis=1)
     return counters
+
+
+def _tally(
+    spec: ScenarioSpec, weights: tuple[float | None, ...], workers: int, stream_base: int = 0
+) -> np.ndarray:
+    """Counters of ``_run_blocks`` over all of the scenario's blocks, run in
+    this process or dealt round-robin to a process pool; integer sums make
+    the result the same either way."""
+    km_fallback = (
+        weight_uncorrelated_null(spec.null_model, spec.censoring) if None in weights else None
+    )
+    n_blocks = math.ceil(spec.replications / _block_reps(spec.n))
+    workers = min(workers, n_blocks)
+    if workers <= 1:
+        return _run_blocks(spec, weights, km_fallback, stream_base, range(n_blocks))
+    parts = [range(k, n_blocks, workers) for k in range(workers)]
+    with multiprocessing.Pool(workers) as pool:
+        results = pool.starmap(
+            _run_blocks, [(spec, weights, km_fallback, stream_base, part) for part in parts]
+        )
+    return np.sum(results, axis=0)
 
 
 def _rate_and_se(count: int, determinate: int) -> tuple[float, float]:
@@ -234,32 +245,25 @@ def _rate_and_se(count: int, determinate: int) -> tuple[float, float]:
     return rate, math.sqrt(rate * (1.0 - rate) / determinate)
 
 
-def _partition(n_blocks: int, workers: int) -> list[range]:
-    return [range(k, n_blocks, workers) for k in range(workers)]
-
-
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> SimulationReport:
     """Simulate one scenario and tally each policy's rejection rates.
 
     The report is a deterministic function of ``spec`` alone: the worker
     count only changes which process handles which block.
     """
-    n_blocks = math.ceil(spec.replications / _block_reps(spec.n))
-    if workers <= 1 or n_blocks <= 1:
-        counters = _run_blocks(spec, range(n_blocks))
-    else:
-        parts = _partition(n_blocks, min(workers, n_blocks))
-        with multiprocessing.Pool(len(parts)) as pool:
-            results = pool.starmap(_run_blocks, [(spec, part) for part in parts])
-        counters = np.sum(results, axis=0)
-
-    weights = _resolve_scenario_weights(spec)
+    weights = tuple(
+        None if p.kind == "random_km"
+        else resolve_weight(p, spec.null_model, spec.planning_alternative, spec.censoring)
+        for p in spec.policies
+    )
+    counters = _tally(spec, weights, workers)
     outcomes = []
-    for policy, w, row in zip(spec.policies, weights, counters):
-        determinate = spec.replications - int(row[_K_IND])
-        rate_two, se_two = _rate_and_se(int(row[_K_TWO]), determinate)
-        rate_left, se_left = _rate_and_se(int(row[_K_LEFT]), determinate)
-        rate_right, se_right = _rate_and_se(int(row[_K_RIGHT]), determinate)
+    for policy, w, row in zip(spec.policies, weights, counters.tolist()):
+        k_two, k_left, k_right, k_ind, k_fb = row
+        determinate = spec.replications - k_ind
+        rate_two, se_two = _rate_and_se(k_two, determinate)
+        rate_left, se_left = _rate_and_se(k_left, determinate)
+        rate_right, se_right = _rate_and_se(k_right, determinate)
         outcomes.append(
             PolicyOutcome(
                 label=policy.label,
@@ -267,11 +271,11 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> SimulationReport:
                 weight=w,
                 replications=spec.replications,
                 determinate=determinate,
-                indeterminate=int(row[_K_IND]),
-                fallbacks=int(row[_K_FB]),
-                rejections_two=int(row[_K_TWO]),
-                rejections_left=int(row[_K_LEFT]),
-                rejections_right=int(row[_K_RIGHT]),
+                indeterminate=k_ind,
+                fallbacks=k_fb,
+                rejections_two=k_two,
+                rejections_left=k_left,
+                rejections_right=k_right,
                 rate_two=rate_two,
                 rate_left=rate_left,
                 rate_right=rate_right,
@@ -302,37 +306,6 @@ class SweepCell(NamedTuple):
     se_left: float
 
 
-def _sweep_blocks(
-    base: ScenarioSpec,
-    n: int,
-    n_index: int,
-    weights: np.ndarray,
-    block_indices: Iterable[int],
-) -> np.ndarray:
-    """Left-rejection and indeterminate tallies, shape (len(weights), 2)."""
-    z_crit = normal_quantile(1.0 - base.alpha / 2.0)
-    reps_per_block = _block_reps(n)
-    counters = np.zeros((weights.size, 2), dtype=np.int64)
-    w_col = weights[:, None]
-    for b in block_indices:
-        reps_here = min(reps_per_block, base.replications - b * reps_per_block)
-        if reps_here <= 0:
-            continue
-        # distinct sample sizes use disjoint stream indices under one seed
-        rng = substream(base.master_seed, (n_index << 32) | b)
-        arrays = draw_trial(base.truth_model, base.censoring, rng, reps_here, n)
-        n_events = arrays.event.sum(axis=1)
-        a0 = np.asarray(base.null_model.cum_hazard(arrays.time_on_study)).sum(axis=1)
-        diff = n_events - a0
-        variance = w_col * n_events[None, :] + (1.0 - w_col) * a0[None, :]
-        ok = variance > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = np.where(ok, diff[None, :] / np.sqrt(variance), 0.0)
-        counters[:, 0] += np.count_nonzero((z <= -z_crit) & ok, axis=1)
-        counters[:, 1] += np.count_nonzero(~ok, axis=1)
-    return counters
-
-
 def weight_sweep(
     base: ScenarioSpec,
     weights: Sequence[float],
@@ -348,31 +321,24 @@ def weight_sweep(
     w_arr = np.asarray(list(weights), dtype=float)
     if w_arr.size == 0 or np.any((w_arr < 0.0) | (w_arr > 1.0)):
         raise DomainError("sweep weights must lie in [0, 1]")
+    grid = tuple(w_arr.tolist())
     cells: list[SweepCell] = []
     for n_index, n in enumerate(sample_sizes):
         if n < 1:
             raise DomainError("sample sizes must be positive")
-        n_blocks = math.ceil(base.replications / _block_reps(n))
-        if workers <= 1 or n_blocks <= 1:
-            counters = _sweep_blocks(base, n, n_index, w_arr, range(n_blocks))
-        else:
-            parts = _partition(n_blocks, min(workers, n_blocks))
-            with multiprocessing.Pool(len(parts)) as pool:
-                results = pool.starmap(
-                    _sweep_blocks, [(base, n, n_index, w_arr, part) for part in parts]
-                )
-            counters = np.sum(results, axis=0)
-        for w, (k_left, k_ind) in zip(w_arr, counters):
-            determinate = base.replications - int(k_ind)
-            rate, se = _rate_and_se(int(k_left), determinate)
+        # distinct sample sizes use disjoint stream indices under one seed
+        counters = _tally(replace(base, n=int(n)), grid, workers, stream_base=n_index << 32)
+        for w, row in zip(grid, counters.tolist()):
+            determinate = base.replications - row[_K_IND]
+            rate, se = _rate_and_se(row[_K_LEFT], determinate)
             cells.append(
                 SweepCell(
                     n=int(n),
-                    weight=float(w),
+                    weight=w,
                     replications=base.replications,
                     determinate=determinate,
-                    indeterminate=int(k_ind),
-                    rejections_left=int(k_left),
+                    indeterminate=row[_K_IND],
+                    rejections_left=row[_K_LEFT],
                     rate_left=rate,
                     se_left=se,
                 )
@@ -425,82 +391,59 @@ def scenario_table(
     censoring = CensoringModel(UniformAccrual(accrual_length), dropout, accrual_length + follow_up)
     cells: list[TableCell] = []
     run_index = 0
-    for shape in shapes:
-        for median in medians:
-            for delta in hazard_ratios:
-                null = Weibull(shape, median)
-                alternative = hazard_ratio_alternative(null, delta)
-                cell_rows: list[TableCell] = []
-                for policy in policies:
-                    design = sample_size(
-                        DesignSpec(
-                            null_model=null,
-                            follow_up=follow_up,
-                            weight_policy=policy,
-                            hazard_ratio=delta,
-                            accrual_length=accrual_length,
-                            dropout=dropout,
-                            alpha=alpha,
-                            beta=beta,
-                        )
-                    )
-                    null_report = run_scenario(
-                        ScenarioSpec(
-                            truth_model=null,
-                            null_model=null,
-                            censoring=censoring,
-                            n=design.n,
-                            policies=(policy,),
-                            replications=replications,
-                            master_seed=master_seed + run_index,
-                            alpha=alpha,
-                            planning_alternative=alternative,
-                        ),
-                        workers=workers,
-                    )
-                    run_index += 1
-                    outcome = null_report.policies[0]
-                    power_rate = power_se = None
-                    indeterminate_alt = None
-                    if include_power:
-                        alt_report = run_scenario(
-                            ScenarioSpec(
-                                truth_model=alternative,
-                                null_model=null,
-                                censoring=censoring,
-                                n=design.n,
-                                policies=(policy,),
-                                replications=replications,
-                                master_seed=master_seed + run_index,
-                                alpha=alpha,
-                                planning_alternative=alternative,
-                            ),
-                            workers=workers,
-                        )
-                        run_index += 1
-                        alt_outcome = alt_report.policies[0]
-                        power_rate = alt_outcome.rate_left
-                        power_se = alt_outcome.se_left
-                        indeterminate_alt = alt_outcome.indeterminate
-                    cell_rows.append(
-                        TableCell(
-                            shape=shape,
-                            median=median,
-                            hazard_ratio=delta,
-                            policy_label=policy.label,
-                            n=design.n,
-                            weight=design.weight_used,
-                            alpha_left=outcome.rate_left,
-                            alpha_left_se=outcome.se_left,
-                            indeterminate_null=outcome.indeterminate,
-                            best_alpha=False,
-                            power=power_rate,
-                            power_se=power_se,
-                            indeterminate_alt=indeterminate_alt,
-                        )
-                    )
-                nominal = alpha / 2.0
-                best = min(range(len(cell_rows)), key=lambda i: abs(cell_rows[i].alpha_left - nominal))
-                for i, row in enumerate(cell_rows):
-                    cells.append(replace(row, best_alpha=(i == best)))
+    for shape, median, delta in itertools.product(shapes, medians, hazard_ratios):
+        null = Weibull(shape, median)
+        alternative = hazard_ratio_alternative(null, delta)
+        cell_rows: list[TableCell] = []
+        for policy in policies:
+            design = sample_size(
+                DesignSpec(
+                    null_model=null,
+                    follow_up=follow_up,
+                    weight_policy=policy,
+                    hazard_ratio=delta,
+                    accrual_length=accrual_length,
+                    dropout=dropout,
+                    alpha=alpha,
+                    beta=beta,
+                )
+            )
+            # the null run for the type I error, then the power run
+            outcomes = []
+            for truth in (null, alternative) if include_power else (null,):
+                spec = ScenarioSpec(
+                    truth_model=truth,
+                    null_model=null,
+                    censoring=censoring,
+                    n=design.n,
+                    policies=(policy,),
+                    replications=replications,
+                    master_seed=master_seed + run_index,
+                    alpha=alpha,
+                    planning_alternative=alternative,
+                )
+                outcomes.append(run_scenario(spec, workers=workers).policies[0])
+                run_index += 1
+            outcome, *alt = outcomes
+            cell_rows.append(
+                TableCell(
+                    shape=shape,
+                    median=median,
+                    hazard_ratio=delta,
+                    policy_label=policy.label,
+                    n=design.n,
+                    weight=design.weight_used,
+                    alpha_left=outcome.rate_left,
+                    alpha_left_se=outcome.se_left,
+                    indeterminate_null=outcome.indeterminate,
+                    best_alpha=False,
+                    power=alt[0].rate_left if alt else None,
+                    power_se=alt[0].se_left if alt else None,
+                    indeterminate_alt=alt[0].indeterminate if alt else None,
+                )
+            )
+        nominal = alpha / 2.0
+        best = min(range(len(cell_rows)), key=lambda i: abs(cell_rows[i].alpha_left - nominal))
+        for i, row in enumerate(cell_rows):
+            cells.append(replace(row, best_alpha=(i == best)))
     return tuple(cells)

@@ -159,6 +159,29 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row", ["3.5,nan,1", "nan,4.5,1"])
+    def test_non_finite_value_names_the_line(self, tmp_path, capsys, bad_row):
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
+        data = put(tmp_path, "trial.csv", SUBJECT_CSV.replace("3.5,4.5,1", bad_row))
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", "--config", cfg, "--data", data, "--out", out]) == EXIT_DATA
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_infinite_analysis_time_rejected(self, tmp_path):
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML.replace("8.0", ".inf"))
+        data = put(tmp_path, "trial.csv", SUBJECT_CSV)
+        assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_DATA
+
+    def test_line_number_counts_blank_rows(self, tmp_path, capsys):
+        # the bad row sits on file line 6, after two blank rows
+        text = SUBJECT_CSV.replace("0.5,7.5,1\n", "0.5,7.5,1\n\n,,\n")
+        text = text.replace("1.0,6.0,0", "1.0,-6.0,0")
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
+        data = put(tmp_path, "trial.csv", text)
+        assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_DATA
+        assert "line 6" in capsys.readouterr().err
+
     def test_bad_header(self, tmp_path, capsys):
         cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
         data = put(tmp_path, "trial.csv", "entry,time,event\n0,1,1\n")

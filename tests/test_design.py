@@ -178,10 +178,16 @@ class TestNullWeight:
         cens = CensoringModel(
             UniformAccrual(2.0), dropout_from_yearly_rate(dropout_rate), 3.0
         )
+        alt = hazard_ratio_alternative(null, delta)
         w0 = weight_uncorrelated_null(null, cens)
-        w1 = weight_uncorrelated_alt(null, hazard_ratio_alternative(null, delta), cens)
+        w1 = weight_uncorrelated_alt(null, alt, cens)
         assert -1e-9 <= w0 <= 1.0 + 1e-9
-        assert -1e-9 <= w1 <= 1.0 + 1e-9
+        # the alternative weight's bound needs a non-positive covariance of
+        # compensator and count (see weight_uncorrelated_alt and the strict
+        # xfail for steep hazards)
+        mom = moments(null, alt, cens)
+        if mom.v01 - mom.v0 * mom.v1 <= 0.0:
+            assert -1e-9 <= w1 <= 1.0 + 1e-9
 
 
 class TestSampleSize:

@@ -272,3 +272,73 @@ class TestScenarioTable:
         a = scenario_table((1.0,), (1.0,), (1.5,), (WeightPolicy.wu(),), **kwargs)
         b = scenario_table((1.0,), (1.0,), (1.5,), (WeightPolicy.wu(),), **kwargs)
         assert a == b
+
+
+class TestGoldenTallies:
+    """Exact counters of a small scenario and a small sweep. Any change to
+    the random-stream contract (block keying, draw order, block size) or to
+    the z rule shows up here; such a change must be declared, not absorbed
+    by quietly re-recording these values."""
+
+    CENSORING = CensoringModel(UniformAccrual(2.0), dropout_from_yearly_rate(0.2), 3.0)
+
+    # label, determinate, indeterminate, fallbacks, two, left, right
+    SCENARIO = (
+        ("compensator", 20_000, 0, 0, 1132, 1, 1131),
+        ("random_km", 20_000, 0, 16, 938, 176, 762),
+        ("uncorrelated_null", 20_000, 0, 0, 746, 132, 614),
+        ("fixed(0.3)", 20_000, 0, 0, 781, 284, 497),
+    )
+    # n, weight, determinate, indeterminate, left rejections
+    SWEEP = (
+        (3, 0.0, 1500, 0, 0),
+        (3, 0.5, 1500, 0, 51),
+        (3, 1.0, 1192, 308, 0),
+        (2000, 0.0, 1500, 0, 29),
+        (2000, 0.5, 1500, 0, 32),
+        (2000, 1.0, 1500, 0, 33),
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scenario_counters(self, workers):
+        null = Weibull(1.3, 2.5)
+        spec = ScenarioSpec(
+            truth_model=null,
+            null_model=null,
+            censoring=self.CENSORING,
+            n=6,
+            policies=(
+                WeightPolicy.compensator(),
+                WeightPolicy.random_km(),
+                WeightPolicy.uncorrelated_null(),
+                WeightPolicy.fixed(0.3),
+            ),
+            replications=20_000,  # three blocks
+            master_seed=20211,
+        )
+        report = run_scenario(spec, workers=workers)
+        got = tuple(
+            (p.label, p.determinate, p.indeterminate, p.fallbacks,
+             p.rejections_two, p.rejections_left, p.rejections_right)
+            for p in report.policies
+        )
+        assert got == self.SCENARIO
+        weights = [p.weight for p in report.policies]
+        assert weights[0] == 0.0 and weights[1] is None and weights[3] == 0.3
+        assert weights[2] == pytest.approx(0.23358, abs=1e-5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_counters(self, workers):
+        truth = Exponential.from_median(2.0)
+        base = ScenarioSpec(
+            truth_model=truth,
+            null_model=truth,
+            censoring=self.CENSORING,
+            n=1,
+            policies=(WeightPolicy.wu(),),
+            replications=1_500,  # three blocks at n = 2000
+            master_seed=77,
+        )
+        cells = weight_sweep(base, (0.0, 0.5, 1.0), (3, 2000), workers=workers)
+        got = tuple((c.n, c.weight, c.determinate, c.indeterminate, c.rejections_left) for c in cells)
+        assert got == self.SWEEP
