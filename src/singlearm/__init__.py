@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ConvergenceReport,
-    SubjectRecord,
     TestOutcome,
     TrialDataset,
     consistency_check_random_weight,
@@ -66,7 +65,6 @@ __all__ = [
     "PowerAccrual",
     "ScenarioSpec",
     "SimulationReport",
-    "SubjectRecord",
     "TestOutcome",
     "TrialDataset",
     "UniformAccrual",

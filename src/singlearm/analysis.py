@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .models import CensoringModel, SurvivalModel
 from .numerics import normal_cdf, normal_quantile
 
 __all__ = [
-    "SubjectRecord",
     "TrialDataset",
     "TestOutcome",
     "RandomWeightResult",
@@ -39,107 +37,90 @@ __all__ = [
 _HORIZON_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject's observables at the analysis time.
+@dataclass(frozen=True, eq=False)
+class TrialDataset:
+    """Subject-level observables at an analysis time, held as columns.
 
-    ``dropout`` distinguishes loss to follow-up from administrative
-    censoring; it is optional and only consulted by the data-driven
-    weight.
+    Each column is copied, coerced and made read-only, so the dataset never
+    aliases a caller's array. ``dropouts`` distinguishes loss to follow-up
+    from administrative censoring; it is optional and only consulted by
+    the data-driven weight.
     """
 
-    entry_time: float
-    time_on_study: float
-    event: bool
-    dropout: bool | None = None
-
-    def __post_init__(self) -> None:
-        # written so that NaN fails too
-        if not (self.entry_time >= 0.0 and math.isfinite(self.entry_time)):
-            raise DataValidationError(
-                f"entry time must be finite and non-negative, got {self.entry_time}"
-            )
-        if not (self.time_on_study >= 0.0 and math.isfinite(self.time_on_study)):
-            raise DataValidationError(
-                f"time on study must be finite and non-negative, got {self.time_on_study}"
-            )
-        if self.event and self.dropout:
-            raise DataValidationError("a subject cannot both have an event and drop out")
-
-
-@dataclass(frozen=True)
-class TrialDataset:
-    """Immutable collection of subject records tied to an analysis time."""
-
-    subjects: tuple[SubjectRecord, ...]
+    entry_times: np.ndarray
+    times_on_study: np.ndarray
+    events: np.ndarray
     analysis_time: float
+    dropouts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.subjects:
+        columns = {
+            "entry_times": np.array(self.entry_times, dtype=float),
+            "times_on_study": np.array(self.times_on_study, dtype=float),
+            "events": np.array(self.events, dtype=bool),
+        }
+        if self.dropouts is not None:
+            columns["dropouts"] = np.array(self.dropouts, dtype=bool)
+        for name, col in columns.items():
+            if col.ndim != 1:
+                raise DataValidationError(f"{name} must be one-dimensional, got shape {col.shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if len({col.size for col in columns.values()}) > 1:
+            raise DataValidationError(
+                "columns differ in length: "
+                + ", ".join(f"{name} has {col.size}" for name, col in columns.items())
+            )
+        object.__setattr__(self, "analysis_time", float(self.analysis_time))
+
+        entry, time = self.entry_times, self.times_on_study
+        # written so that NaN fails too
+        bad_entry = ~((entry >= 0.0) & np.isfinite(entry))
+        bad_time = ~((time >= 0.0) & np.isfinite(time))
+        clash = self.events & self.dropouts if self.dropouts is not None else False
+        bad = np.flatnonzero(bad_entry | bad_time | clash)
+        if bad.size:
+            i = int(bad[0])
+            if bad_entry[i]:
+                message = f"entry time must be finite and non-negative, got {float(entry[i])}"
+            elif bad_time[i]:
+                message = f"time on study must be finite and non-negative, got {float(time[i])}"
+            else:
+                message = "a subject cannot both have an event and drop out"
+            raise DataValidationError(message, record_index=i)
+        if not entry.size:
             raise DataValidationError("dataset contains no subjects")
-        if not (self.analysis_time > 0.0 and math.isfinite(self.analysis_time)):
-            raise DataValidationError("analysis time must be positive and finite")
         t = self.analysis_time
-        for i, rec in enumerate(self.subjects):
-            if rec.entry_time > t:
-                raise DataValidationError(
-                    f"entry time {rec.entry_time} lies after the analysis time {t}",
-                    record_index=i,
+        if not (t > 0.0 and math.isfinite(t)):
+            raise DataValidationError("analysis time must be positive and finite")
+        late = entry > t
+        horizon = np.maximum(t - entry, 0.0)
+        beyond = time > horizon + _HORIZON_TOL
+        bad = np.flatnonzero(late | beyond)
+        if bad.size:
+            i = int(bad[0])
+            if late[i]:
+                message = f"entry time {float(entry[i])} lies after the analysis time {t}"
+            else:
+                message = (
+                    f"time on study {float(time[i])} exceeds the administrative "
+                    f"horizon {float(horizon[i]):.6g}"
                 )
-            horizon = max(t - rec.entry_time, 0.0)
-            if rec.time_on_study > horizon + _HORIZON_TOL:
-                raise DataValidationError(
-                    f"time on study {rec.time_on_study} exceeds the administrative "
-                    f"horizon {horizon:.6g}",
-                    record_index=i,
-                )
+            raise DataValidationError(message, record_index=i)
 
     @classmethod
     def from_arrays(
-        cls,
-        entry_time,
-        time_on_study,
-        event,
-        analysis_time: float,
-        dropout=None,
+        cls, entry_time, time_on_study, event, analysis_time: float, dropout=None
     ) -> "TrialDataset":
-        entry = np.asarray(entry_time, dtype=float)
-        time = np.asarray(time_on_study, dtype=float)
-        ev = np.asarray(event, dtype=bool)
-        dr = None if dropout is None else np.asarray(dropout, dtype=bool)
-        records = []
-        for i in range(len(entry)):
-            try:
-                records.append(
-                    SubjectRecord(
-                        float(entry[i]),
-                        float(time[i]),
-                        bool(ev[i]),
-                        None if dr is None else bool(dr[i]),
-                    )
-                )
-            except DataValidationError as exc:
-                raise DataValidationError(str(exc), record_index=i) from None
-        return cls(tuple(records), float(analysis_time))
+        """Same as the constructor; the keyword names follow the CSV columns."""
+        return cls(entry_time, time_on_study, event, analysis_time, dropout)
 
     def __len__(self) -> int:
-        return len(self.subjects)
-
-    @cached_property
-    def entry_times(self) -> np.ndarray:
-        return np.array([rec.entry_time for rec in self.subjects])
-
-    @cached_property
-    def times_on_study(self) -> np.ndarray:
-        return np.array([rec.time_on_study for rec in self.subjects])
-
-    @cached_property
-    def events(self) -> np.ndarray:
-        return np.array([rec.event for rec in self.subjects], dtype=bool)
+        return self.events.size
 
     @property
     def has_dropout_flags(self) -> bool:
-        return all(rec.dropout is not None for rec in self.subjects)
+        return self.dropouts is not None
 
 
 @dataclass(frozen=True)
@@ -264,10 +245,11 @@ def _resolve_analysis_weight(
     if kind == "random_km":
         if not data.has_dropout_flags:
             raise PolicyError("random_km needs dropout flags on every record")
-        fallback = None
-        if design_context is not None:
-            fallback = resolve_weight(WeightPolicy.uncorrelated_null(), null, None, design_context)
-        result = random_weight_km(data, null, fallback_weight=fallback)
+        result = random_weight_km(data, null)
+        if result.used_fallback and design_context is not None:
+            # solved only here: the planning weight costs a quadrature root find
+            planning = resolve_weight(WeightPolicy.uncorrelated_null(), null, None, design_context)
+            return planning, True
         return result.weight, result.used_fallback
     if kind == "uncorrelated_alt":
         raise PolicyError(

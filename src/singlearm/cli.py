@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -129,7 +130,13 @@ def _envelope(command: str, config: dict, results: dict, warnings: list[str], da
 
 
 def _jsonify(obj: Any) -> Any:
-    """Convert payload objects to plain JSON-serializable structures."""
+    """Convert payload objects to plain JSON-serializable structures.
+
+    Non-finite floats become ``None`` (JSON null), since strict JSON has no
+    NaN or infinity.
+    """
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -139,7 +146,7 @@ def _jsonify(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return _jsonify(obj.item())
     return obj
 
 
@@ -358,15 +365,18 @@ def write_subject_csv(path: str, data: TrialDataset) -> None:
     Floats are written with full precision so parse -> write -> parse is
     the identity.
     """
-    has_dropout = data.has_dropout_flags
+    # tolist() gives Python floats, whose repr is the shortest exact text
+    columns = [
+        map(repr, data.entry_times.tolist()),
+        map(repr, data.times_on_study.tolist()),
+        data.events.astype(int).tolist(),
+    ]
+    if data.has_dropout_flags:
+        columns.append(data.dropouts.astype(int).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER_DROPOUT if has_dropout else _CSV_HEADER)
-        for rec in data.subjects:
-            row = [repr(rec.entry_time), repr(rec.time_on_study), int(rec.event)]
-            if has_dropout:
-                row.append(int(rec.dropout))
-            writer.writerow(row)
+        writer.writerow(_CSV_HEADER_DROPOUT if data.has_dropout_flags else _CSV_HEADER)
+        writer.writerows(zip(*columns))
 
 
 def read_subject_csv(path: str, analysis_time: float) -> TrialDataset:
@@ -645,9 +655,10 @@ def _print_envelope(env: ReportEnvelope) -> None:
             parts = [f"policy={pol['label']}"]
             if pol.get("weight") is not None:
                 parts.append(f"weight={pol['weight']:.4f}")
-            parts.append(f"rate_two={pol['rate_two']:.4f}")
-            parts.append(f"rate_left={pol['rate_left']:.4f}")
-            parts.append(f"rate_right={pol['rate_right']:.4f}")
+            for key in ("rate_two", "rate_left", "rate_right"):
+                # None when no replication was determinate
+                rate = pol[key]
+                parts.append(f"{key}={'n/a' if rate is None else format(rate, '.4f')}")
             if pol["indeterminate"]:
                 parts.append(f"indeterminate={pol['indeterminate']}")
             print("  " + ", ".join(parts))
@@ -669,7 +680,7 @@ def _write_output(env: ReportEnvelope, out_path: str) -> None:
             writer.writerows(rows)
         return
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(env.to_dict(), fh, indent=2)
+        json.dump(_jsonify(env.to_dict()), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -33,10 +33,6 @@ __all__ = [
     "dropout_from_yearly_rate",
     "CensoringModel",
     "hazard_ratio_alternative",
-    "s_u",
-    "sample_event_time",
-    "sample_entry",
-    "sample_dropout",
 ]
 
 
@@ -350,22 +346,3 @@ class CensoringModel:
         arr = np.asarray(entry_time, dtype=float)
         return _match(entry_time, np.clip(self.analysis_time - arr, 0.0, None))
 
-
-def s_u(censoring: CensoringModel, s):
-    """Censoring survival function S_U(s) = S_C(s) * F_Y((t - s)+)."""
-    return censoring.survival_u(s)
-
-
-def sample_event_time(model: SurvivalModel, rng: np.random.Generator, size=None):
-    """Draw event times by inverse transform of the cumulative hazard."""
-    return model.sample(rng, size)
-
-
-def sample_entry(accrual: AccrualModel, rng: np.random.Generator, size=None):
-    """Draw entry times from the accrual law."""
-    return accrual.sample(rng, size)
-
-
-def sample_dropout(dropout: DropoutModel, rng: np.random.Generator, size=None):
-    """Draw dropout times; infinite when the model has no dropout."""
-    return dropout.sample(rng, size)

@@ -319,7 +319,7 @@ def weight_sweep(
     ``base.n`` and ``base.policies`` are ignored in favor of the grid.
     """
     w_arr = np.asarray(list(weights), dtype=float)
-    if w_arr.size == 0 or np.any((w_arr < 0.0) | (w_arr > 1.0)):
+    if w_arr.size == 0 or np.any(~((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise DomainError("sweep weights must lie in [0, 1]")
     grid = tuple(w_arr.tolist())
     cells: list[SweepCell] = []

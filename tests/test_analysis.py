@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from singlearm.analysis import (
-    SubjectRecord,
     TrialDataset,
     consistency_check_random_weight,
     counting_and_compensator,
@@ -33,7 +33,31 @@ LOG_TWO = math.log(2.0)
 
 
 def dataset(rows, analysis_time=8.0):
-    return TrialDataset(tuple(SubjectRecord(*row) for row in rows), analysis_time)
+    """Dataset from (entry, time on study, event, dropout) rows; a dropout
+    column of all None means the data carry no dropout flags."""
+    entry, time, event, dropout = zip(*rows)
+    if all(flag is None for flag in dropout):
+        dropout = None
+    return TrialDataset.from_arrays(entry, time, event, analysis_time, dropout)
+
+
+def first_bad_record(rows, flagged, t):
+    """Per-record reference for dataset validation: every record's own rules
+    in record order, then the analysis-time rules in record order."""
+    for i, (y, x, event, dropout) in enumerate(rows):
+        if not (y >= 0.0 and math.isfinite(y)):
+            return i, f"entry time must be finite and non-negative, got {y}"
+        if not (x >= 0.0 and math.isfinite(x)):
+            return i, f"time on study must be finite and non-negative, got {x}"
+        if flagged and event and dropout:
+            return i, "a subject cannot both have an event and drop out"
+    for i, (y, x, _, _) in enumerate(rows):
+        horizon = max(t - y, 0.0)
+        if y > t:
+            return i, f"entry time {y} lies after the analysis time {t}"
+        if x > horizon + 1e-9:
+            return i, f"time on study {x} exceeds the administrative horizon {horizon:.6g}"
+    return None
 
 
 THREE_SUBJECTS = dataset(
@@ -275,11 +299,11 @@ class TestConsistencyCheck:
 class TestValidation:
     def test_record_rules(self):
         with pytest.raises(DataValidationError):
-            SubjectRecord(-0.1, 1.0, True, None)
+            TrialDataset.from_arrays([-0.1], [1.0], [True], 8.0)
         with pytest.raises(DataValidationError):
-            SubjectRecord(0.0, -1.0, True, None)
+            TrialDataset.from_arrays([0.0], [-1.0], [True], 8.0)
         with pytest.raises(DataValidationError):
-            SubjectRecord(0.0, 1.0, True, True)
+            TrialDataset.from_arrays([0.0], [1.0], [True], 8.0, [True])
 
     def test_entry_after_analysis_time(self):
         with pytest.raises(DataValidationError):
@@ -297,11 +321,59 @@ class TestValidation:
 
     def test_empty_dataset(self):
         with pytest.raises(DataValidationError):
-            TrialDataset((), 8.0)
+            TrialDataset.from_arrays([], [], [], 8.0)
 
-    def test_mixed_dropout_flags_do_not_count_as_flagged(self):
-        data = TrialDataset(
-            (SubjectRecord(0.0, 1.0, True, False), SubjectRecord(0.0, 1.0, True, None)),
-            8.0,
-        )
-        assert not data.has_dropout_flags
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # a short first column must not cut the others to its length
+            ([0.0], [1.0, 2.0], [True, False], 8.0),
+            ([0.0, 1.0], [1.0], [True], 8.0),
+            ([0.0, 1.0], [1.0, 2.0], [True, False], 8.0, [False]),
+        ],
+        ids=["short_entry", "long_entry", "short_dropout"],
+    )
+    def test_columns_of_unequal_length_are_rejected(self, columns):
+        with pytest.raises(DataValidationError, match="differ in length"):
+            TrialDataset.from_arrays(*columns)
+
+    @pytest.mark.parametrize("entry", [0.0, [[0.0, 1.0]]], ids=["scalar", "matrix"])
+    def test_columns_must_be_one_dimensional(self, entry):
+        with pytest.raises(DataValidationError, match="one-dimensional"):
+            TrialDataset.from_arrays(entry, [1.0, 2.0], [True, False], 8.0)
+
+    def test_columns_are_read_only_copies(self):
+        entry = np.array([0.0, 1.0])
+        data = TrialDataset.from_arrays(entry, [1.0, 2.0], [1, 0], 8.0, [0, 1])
+        entry[0] = 5.0
+        assert data.entry_times[0] == 0.0
+        assert entry.flags.writeable
+        for column in (data.entry_times, data.times_on_study, data.events, data.dropouts):
+            assert not column.flags.writeable
+        assert data.events.dtype == bool and data.dropouts.dtype == bool
+        assert len(data) == 2 and data.has_dropout_flags
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 7.5, 8.5, -0.5, math.nan, math.inf]),
+                st.sampled_from([0.0, 0.5, 6.5, 7.0, 8.0, -1.0, math.nan]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_first_bad_record_matches_per_record_rules(self, rows, flagged):
+        t = 8.0
+        expected = first_bad_record(rows, flagged, t)
+        entry, time, event, dropout = (list(col) for col in zip(*rows))
+        if expected is None:
+            data = TrialDataset.from_arrays(entry, time, event, t, dropout if flagged else None)
+            assert data.entry_times.tolist() == entry and data.times_on_study.tolist() == time
+        else:
+            with pytest.raises(DataValidationError) as excinfo:
+                TrialDataset.from_arrays(entry, time, event, t, dropout if flagged else None)
+            assert (excinfo.value.record_index, str(excinfo.value)) == expected

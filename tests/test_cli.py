@@ -285,10 +285,40 @@ class TestSimulateCommand:
             "compensator", "counting", "wu", "uncorrelated_null"
         ]
 
+    def test_report_without_determinate_replication_is_strict_json(self, tmp_path, capsys):
+        # one subject under a near-zero hazard never has an event, so the
+        # counting weight leaves every replication indeterminate
+        cfg = put(
+            tmp_path,
+            "sim.yaml",
+            SIMULATE_YAML.replace("null_median: 2.0", "null_rate: 1.0e-6")
+            .replace("n: 40", "n: 1")
+            .replace("wu,compensator", "counting")
+            .replace("replications: 400", "replications: 3"),
+        )
+        out = str(tmp_path / "report.json")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_OK
+        assert "rate_two=n/a" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with open(out) as fh:
+            report = json.load(fh, parse_constant=reject)
+        pol = report["results"]["policies"][0]
+        assert pol["indeterminate"] == 3
+        assert pol["rate_two"] is None and pol["se_left"] is None
+
     def test_csv_output_requires_rows(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML)
         out = str(tmp_path / "rows.csv")
         assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_USAGE
+
+
+def assert_same_columns(a, b):
+    for name in ("entry_times", "times_on_study", "events", "dropouts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.analysis_time == b.analysis_time
 
 
 class TestSubjectCsvHelpers:
@@ -302,7 +332,7 @@ class TestSubjectCsvHelpers:
         )
         write_subject_csv(path, data)
         again = read_subject_csv(path, 8.0)
-        assert again.subjects == data.subjects
+        assert_same_columns(again, data)
         write_subject_csv(str(tmp_path / "b.csv"), again)
         assert (tmp_path / "b.csv").read_text() == (tmp_path / "subjects.csv").read_text()
 
@@ -317,7 +347,7 @@ class TestSubjectCsvHelpers:
         )
         write_subject_csv(path, data)
         again = read_subject_csv(path, 2.0)
-        assert again.subjects == data.subjects
+        assert_same_columns(again, data)
         assert again.has_dropout_flags
 
     def test_line_numbers_survive_helper(self, tmp_path):

@@ -18,10 +18,6 @@ from singlearm.models import (
     Weibull,
     dropout_from_yearly_rate,
     hazard_ratio_alternative,
-    s_u,
-    sample_dropout,
-    sample_entry,
-    sample_event_time,
 )
 
 LOG_TWO = math.log(2.0)
@@ -192,23 +188,23 @@ class TestCensoringModel:
     def test_su_no_dropout_before_full_overlap(self):
         cens = self.make()
         # Everyone has entered by analysis_time - accrual_length.
-        assert s_u(cens, 0.5) == 1.0
-        assert s_u(cens, 1.0) == 1.0
+        assert cens.survival_u(0.5) == 1.0
+        assert cens.survival_u(1.0) == 1.0
 
     def test_su_administrative_ramp(self):
         cens = self.make()
-        assert s_u(cens, 1.5) == pytest.approx(0.5, rel=1e-12)
-        assert s_u(cens, 2.0) == 0.0
-        assert s_u(cens, 3.0) == 0.0
+        assert cens.survival_u(1.5) == pytest.approx(0.5, rel=1e-12)
+        assert cens.survival_u(2.0) == 0.0
+        assert cens.survival_u(3.0) == 0.0
 
     def test_su_with_dropout(self):
         cens = self.make(dropout=ExponentialDropout.from_yearly_rate(0.1))
-        assert s_u(cens, 1.5) == pytest.approx(0.9**1.5 * 0.5, rel=1e-12)
+        assert cens.survival_u(1.5) == pytest.approx(0.9**1.5 * 0.5, rel=1e-12)
 
     def test_su_monotone_nonincreasing(self):
         cens = self.make(dropout=ExponentialDropout(0.3))
         grid = np.linspace(0.0, 2.0, 41)
-        values = [s_u(cens, s) for s in grid]
+        values = [cens.survival_u(s) for s in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_breakpoints(self):
@@ -225,7 +221,7 @@ class TestCensoringModel:
 class TestSampling:
     def test_event_time_inverse_transform(self):
         model = Weibull(1.22, 9.0)
-        draws = sample_event_time(model, np.random.default_rng(1), 100_000)
+        draws = model.sample(np.random.default_rng(1), 100_000)
         grid = np.quantile(draws, [0.25, 0.5, 0.75])
         expected = [model.quantile(p) for p in (0.25, 0.5, 0.75)]
         np.testing.assert_allclose(grid, expected, rtol=0.02)
@@ -242,21 +238,15 @@ class TestSampling:
     )
     def test_sampling_matches_cdf(self, model):
         n = 100_000
-        rng = np.random.default_rng(12345)
-        if isinstance(model, (PowerAccrual, UniformAccrual)):
-            draws = sample_entry(model, rng, n)
-            target_cdf = model.cdf
-        elif isinstance(model, ExponentialDropout):
-            draws = sample_dropout(model, rng, n)
+        if isinstance(model, ExponentialDropout):
             target_cdf = lambda s: 1.0 - model.survival(s)
         else:
-            draws = sample_event_time(model, rng, n)
             target_cdf = model.cdf
-        draws = np.sort(draws)
+        draws = np.sort(model.sample(np.random.default_rng(12345), n))
         ecdf = np.arange(1, n + 1) / n
         stat = np.max(np.abs(ecdf - target_cdf(draws)))
         assert stat < KS_CRITICAL / math.sqrt(n)
 
     def test_no_dropout_sampling(self):
-        draws = sample_dropout(NoDropout(), np.random.default_rng(0), 3)
+        draws = NoDropout().sample(np.random.default_rng(0), 3)
         assert np.all(np.isinf(draws))

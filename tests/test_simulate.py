@@ -227,6 +227,11 @@ class TestWeightSweep:
         with pytest.raises(DomainError):
             weight_sweep(self.base(), (), (40,))
 
+    def test_nan_weight_rejected(self):
+        # NaN fails every comparison, so the check is written to fail it
+        with pytest.raises(DomainError):
+            weight_sweep(self.base(), (0.5, float("nan")), (40,))
+
 
 class TestScenarioTable:
     def test_single_cell_matches_design(self):
