@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -234,6 +235,8 @@ def _load_config(path: str) -> dict:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     if raw is None:
@@ -244,7 +247,8 @@ def _load_config(path: str) -> dict:
 
 
 def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
-    unknown = sorted(set(raw) - set(schema))
+    # YAML keys need not be strings, so sort by their text
+    unknown = sorted((k for k in raw if k not in schema), key=str)
     if unknown:
         raise ConfigError(f"unknown config key for {command}: {unknown[0]!r}")
     out: dict[str, Any] = {}
@@ -394,50 +398,52 @@ def _read_subject_csv(path: str):
     """Columns of a subject CSV plus the file line of each record, since
     blank rows are skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise DataValidationError(f"data file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: file is empty") from None
-        header = tuple(h.strip() for h in header)
-        if header == _CSV_HEADER:
-            has_dropout = False
-        elif header == _CSV_HEADER_DROPOUT:
-            has_dropout = True
-        else:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataValidationError(f"cannot read data file {path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataValidationError(f"{path}: file is empty") from None
+    header = tuple(h.strip() for h in header)
+    if header == _CSV_HEADER:
+        has_dropout = False
+    elif header == _CSV_HEADER_DROPOUT:
+        has_dropout = True
+    else:
+        raise DataValidationError(
+            f"{path}: header must be {','.join(_CSV_HEADER)} optionally followed by dropout"
+        )
+    entry, time_on_study, event, dropout, lines = [], [], [], [], []
+    expected_cols = 4 if has_dropout else 3
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != expected_cols:
             raise DataValidationError(
-                f"{path}: header must be {','.join(_CSV_HEADER)} optionally followed by dropout"
+                f"{path} line {line_no}: expected {expected_cols} columns, got {len(row)}"
             )
-        entry, time_on_study, event, dropout, lines = [], [], [], [], []
-        expected_cols = 4 if has_dropout else 3
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != expected_cols:
-                raise DataValidationError(
-                    f"{path} line {line_no}: expected {expected_cols} columns, got {len(row)}"
-                )
-            try:
-                entry.append(float(row[0]))
-                time_on_study.append(float(row[1]))
-            except ValueError:
-                raise DataValidationError(
-                    f"{path} line {line_no}: entry_time and time_on_study must be numbers"
-                ) from None
-            flag = row[2].strip()
-            if flag not in ("0", "1"):
-                raise DataValidationError(f"{path} line {line_no}: event must be 0 or 1")
-            event.append(flag == "1")
-            if has_dropout:
-                dflag = row[3].strip()
-                if dflag not in ("0", "1"):
-                    raise DataValidationError(f"{path} line {line_no}: dropout must be 0 or 1")
-                dropout.append(dflag == "1")
-            lines.append(line_no)
+        try:
+            entry.append(float(row[0]))
+            time_on_study.append(float(row[1]))
+        except ValueError:
+            raise DataValidationError(
+                f"{path} line {line_no}: entry_time and time_on_study must be numbers"
+            ) from None
+        flag = row[2].strip()
+        if flag not in ("0", "1"):
+            raise DataValidationError(f"{path} line {line_no}: event must be 0 or 1")
+        event.append(flag == "1")
+        if has_dropout:
+            dflag = row[3].strip()
+            if dflag not in ("0", "1"):
+                raise DataValidationError(f"{path} line {line_no}: dropout must be 0 or 1")
+            dropout.append(dflag == "1")
+        lines.append(line_no)
     if not entry:
         raise DataValidationError(f"{path}: no subject rows")
     return (
@@ -717,6 +723,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # fail before the computation, not after it
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"cannot write report {args.out}: no such directory")
         config = _load_config(args.config)
         if args.command == "design":
             env = cmd_design(config)
@@ -730,7 +739,10 @@ def main(argv: list[str] | None = None) -> int:
             env = cmd_simulate(config, workers=max(1, args.workers))
         _print_envelope(env)
         if args.out:
-            _write_output(env, args.out)
+            try:
+                _write_output(env, args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report {args.out}: {exc}") from None
             print(f"  report written to {args.out}")
         return EXIT_OK
     except ConfigError as exc:

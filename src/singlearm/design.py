@@ -7,10 +7,11 @@ for the standardized statistic
 
     z = (N(t) - A0(t)) / sqrt(w N(t) + (1 - w) A0(t)).
 
-All moment integrals are evaluated in cumulative-hazard coordinates
-(substituting u = Lambda(s)), which removes the hazard singularity that
-Weibull laws with shape below one have at zero and leaves bounded, nearly
-smooth integrands.
+Every planning integral (moments, event rates, the uncorrelated-null
+weight) is one cumulative-hazard quadrature, substituting u = Lambda(s),
+at the fixed accuracy of ``numerics.integrate``. The substitution removes
+the hazard singularity that Weibull laws with shape below one have at zero
+and leaves bounded, nearly smooth integrands.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .models import (
     UniformAccrual,
     hazard_ratio_alternative,
 )
-from .numerics import QuadratureSettings, RootSettings, find_root, integrate, normal_cdf, normal_quantile
+from .numerics import RootSettings, find_root, integrate, normal_cdf, normal_quantile
 
 __all__ = [
     "WeightPolicy",
@@ -54,10 +55,11 @@ __all__ = [
     "suggest_policy",
 ]
 
-DEFAULT_QUADRATURE = QuadratureSettings()
-
 # effects smaller than this are indistinguishable from zero at double precision
 _OMEGA_FLOOR = 1e-12
+
+# bracket width at which a solved accrual length is accepted
+_ACCRUAL_ROOT = RootSettings(abs_tol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -242,18 +244,33 @@ class DesignResult:
     achieved_power: float
 
 
-def _hazard_scale(model: SurvivalModel, censoring: CensoringModel):
-    """Upper limit and interior breakpoints of [0, t] mapped through Lambda."""
+def _over_cum_hazard(model: SurvivalModel, censoring: CensoringModel, integrand) -> float:
+    """Integral over u = Lambda(s) in [0, Lambda(t)] of integrand(S_U(s), s, u).
+
+    Lambda is the model's cumulative hazard, so lambda(s) ds = du and densities
+    become e^-u factors; the kinks of S_U are breakpoints, and Lambda^-1 runs
+    once per node. Integrands multiply left to right as S_U * factor * e^-u,
+    an order on which the last bits of every design number depend.
+    """
+    su = censoring.survival_u
+    inv = model.inverse_cum_hazard
+
+    def f(u: float) -> float:
+        s = inv(u)
+        return integrand(float(su(s)), s, u)
+
     hi = float(model.cum_hazard(censoring.analysis_time))
     brk = [float(model.cum_hazard(b)) for b in censoring.breakpoints]
-    return hi, brk
+    return integrate(f, 0.0, hi, breakpoints=brk)
+
+
+def _events(su: float, s, u: float) -> float:
+    """Event-rate integrand: S_U f ds becomes S_U e^-u du."""
+    return su * math.exp(-u)
 
 
 def moments(
-    null: SurvivalModel,
-    alternative: SurvivalModel,
-    censoring: CensoringModel,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
+    null: SurvivalModel, alternative: SurvivalModel, censoring: CensoringModel
 ) -> MomentSet:
     """Moment integrals of the per-subject contributions over [0, t].
 
@@ -263,104 +280,43 @@ def moments(
         v01 = int S_U f_alt Lambda_null
         v00 = int S_U S_alt Lambda_null lambda_null
 
-    computed after substituting the respective cumulative hazard for the
-    time variable, so each integrand is bounded even for shape < 1.
+    v1 and v01 are integrated over the alternative's cumulative hazard, v0
+    and v00 over the reference law's, so each integrand is bounded even for
+    shape < 1.
     """
-    su = censoring.survival_u
-
-    z_hi, z_brk = _hazard_scale(alternative, censoring)
-    inv_alt = alternative.inverse_cum_hazard
-    v1 = integrate(
-        lambda z: float(su(inv_alt(z))) * math.exp(-z),
-        0.0,
-        z_hi,
-        settings,
-        breakpoints=z_brk,
+    v1 = _over_cum_hazard(alternative, censoring, _events)
+    v01 = _over_cum_hazard(
+        alternative, censoring, lambda su, s, u: su * float(null.cum_hazard(s)) * math.exp(-u)
     )
-    v01 = integrate(
-        lambda z: float(su(inv_alt(z))) * float(null.cum_hazard(inv_alt(z))) * math.exp(-z),
-        0.0,
-        z_hi,
-        settings,
-        breakpoints=z_brk,
-    )
-
-    u_hi, u_brk = _hazard_scale(null, censoring)
-    inv_null = null.inverse_cum_hazard
-    v0 = integrate(
-        lambda u: float(su(inv_null(u))) * float(alternative.survival(inv_null(u))),
-        0.0,
-        u_hi,
-        settings,
-        breakpoints=u_brk,
-    )
-    v00 = integrate(
-        lambda u: float(su(inv_null(u))) * float(alternative.survival(inv_null(u))) * u,
-        0.0,
-        u_hi,
-        settings,
-        breakpoints=u_brk,
+    v0 = _over_cum_hazard(null, censoring, lambda su, s, u: su * float(alternative.survival(s)))
+    v00 = _over_cum_hazard(
+        null, censoring, lambda su, s, u: su * float(alternative.survival(s)) * u
     )
     return MomentSet(v1=v1, v0=v0, v01=v01, v00=v00)
 
 
-def expected_event_rate(
-    model: SurvivalModel,
-    censoring: CensoringModel,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> float:
+def expected_event_rate(model: SurvivalModel, censoring: CensoringModel) -> float:
     """Probability that a subject has an observed event by the analysis time."""
-    su = censoring.survival_u
-    hi, brk = _hazard_scale(model, censoring)
-    inv = model.inverse_cum_hazard
-    return integrate(
-        lambda z: float(su(inv(z))) * math.exp(-z),
-        0.0,
-        hi,
-        settings,
-        breakpoints=brk,
-    )
+    return _over_cum_hazard(model, censoring, _events)
 
 
-def weight_uncorrelated_null(
-    null: SurvivalModel,
-    censoring: CensoringModel,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> float:
+def weight_uncorrelated_null(null: SurvivalModel, censoring: CensoringModel) -> float:
     """Weight making the statistic and the variance estimator uncorrelated
     under the reference law:
 
         w0(t) = int S_U f_null Lambda_null / int S_U f_null.
     """
-    su = censoring.survival_u
-    hi, brk = _hazard_scale(null, censoring)
-    inv = null.inverse_cum_hazard
-    den = integrate(
-        lambda u: float(su(inv(u))) * math.exp(-u),
-        0.0,
-        hi,
-        settings,
-        breakpoints=brk,
-    )
+    den = _over_cum_hazard(null, censoring, _events)
     if den <= 0.0:
         raise DegenerateDesignError(
             "event probability under the reference law is zero by the analysis time"
         )
-    num = integrate(
-        lambda u: float(su(inv(u))) * u * math.exp(-u),
-        0.0,
-        hi,
-        settings,
-        breakpoints=brk,
-    )
+    num = _over_cum_hazard(null, censoring, lambda su, s, u: su * u * math.exp(-u))
     return num / den
 
 
 def weight_uncorrelated_alt(
-    null: SurvivalModel,
-    alternative: SurvivalModel,
-    censoring: CensoringModel,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
+    null: SurvivalModel, alternative: SurvivalModel, censoring: CensoringModel
 ) -> float:
     """Weight removing the correlation under the planning alternative:
 
@@ -372,7 +328,7 @@ def weight_uncorrelated_alt(
     of the zero-correlation equation exceeds 1; callers needing a convex
     mixing weight should clamp the result to the unit interval.
     """
-    mom = moments(null, alternative, censoring, settings)
+    mom = moments(null, alternative, censoring)
     sigma_sq = mom.sigma_sq
     if sigma_sq <= 0.0:
         raise DegenerateDesignError("variance of the compensated count is zero")
@@ -384,7 +340,6 @@ def resolve_weight(
     null: SurvivalModel,
     alternative: SurvivalModel | None,
     censoring: CensoringModel,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
 ) -> float:
     """Numeric weight implied by a policy under the planning assumptions."""
     if policy.kind == "compensator":
@@ -396,13 +351,13 @@ def resolve_weight(
     if policy.kind == "fixed":
         return float(policy.value)
     if policy.kind == "uncorrelated_null":
-        return weight_uncorrelated_null(null, censoring, settings)
+        return weight_uncorrelated_null(null, censoring)
     if policy.kind == "combined":
-        return min(weight_uncorrelated_null(null, censoring, settings), 0.5)
+        return min(weight_uncorrelated_null(null, censoring), 0.5)
     if policy.kind == "uncorrelated_alt":
         if alternative is None:
             raise PolicyError("uncorrelated_alt needs a planning alternative")
-        return weight_uncorrelated_alt(null, alternative, censoring, settings)
+        return weight_uncorrelated_alt(null, alternative, censoring)
     raise PolicyError(f"policy {policy.kind!r} cannot be resolved at design time")
 
 
@@ -436,12 +391,12 @@ def _ceil_with_slack(x: float) -> int:
     return int(math.ceil(x - 1e-9))
 
 
-def _design_pieces(spec: DesignSpec, accrual_length: float, settings: QuadratureSettings):
+def _design_pieces(spec: DesignSpec, accrual_length: float):
     censoring = spec.censoring_at(accrual_length)
     alternative = spec.resolved_alternative()
-    mom = moments(spec.null_model, alternative, censoring, settings)
-    w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring, settings)
-    return censoring, alternative, mom, w
+    mom = moments(spec.null_model, alternative, censoring)
+    w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
+    return censoring, mom, w
 
 
 def _build_result(
@@ -451,13 +406,12 @@ def _build_result(
     censoring: CensoringModel,
     mom: MomentSet,
     w: float,
-    settings: QuadratureSettings,
 ) -> DesignResult:
     if n > spec.sample_size_cap:
         raise CapExceededError(
             f"required sample size {n} exceeds the cap of {spec.sample_size_cap}"
         )
-    rate_null = expected_event_rate(spec.null_model, censoring, settings)
+    rate_null = expected_event_rate(spec.null_model, censoring)
     return DesignResult(
         n=n,
         weight_used=w,
@@ -471,7 +425,7 @@ def _build_result(
     )
 
 
-def sample_size(spec: DesignSpec, settings: QuadratureSettings = DEFAULT_QUADRATURE) -> DesignResult:
+def sample_size(spec: DesignSpec) -> DesignResult:
     """Smallest n reaching power 1 - beta at two-sided level alpha.
 
     Requires a fixed accrual length; rate-driven designs go through
@@ -481,16 +435,12 @@ def sample_size(spec: DesignSpec, settings: QuadratureSettings = DEFAULT_QUADRAT
         raise ConfigError(
             "sample_size needs accrual_length; use solve_accrual_length for accrual_rate designs"
         )
-    censoring, _, mom, w = _design_pieces(spec, spec.accrual_length, settings)
+    censoring, mom, w = _design_pieces(spec, spec.accrual_length)
     n = max(1, _ceil_with_slack(_required_n(mom, w, spec.alpha, spec.beta)))
-    return _build_result(spec, spec.accrual_length, n, censoring, mom, w, settings)
+    return _build_result(spec, spec.accrual_length, n, censoring, mom, w)
 
 
-def solve_accrual_length(
-    spec: DesignSpec,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-    root_settings: RootSettings = RootSettings(abs_tol=1e-8),
-) -> DesignResult:
+def solve_accrual_length(spec: DesignSpec) -> DesignResult:
     """Accrual length at which recruiting at the given rate meets the power.
 
     With rate r, recruiting for a years supplies n = r a subjects while the
@@ -503,7 +453,7 @@ def solve_accrual_length(
 
     def gap(a: float) -> float:
         try:
-            _, _, mom, w = _design_pieces(spec, a, settings)
+            _, mom, w = _design_pieces(spec, a)
             required = _required_n(mom, w, spec.alpha, spec.beta)
         except InfeasibleDesignError:
             # no detectable effect at this horizon: treat as unbounded demand
@@ -522,19 +472,19 @@ def solve_accrual_length(
         lo *= 0.5
         if lo < 1e-9:
             raise InfeasibleDesignError("supply exceeds demand even for vanishing accrual windows")
-    solved = find_root(gap, lo, hi, root_settings)
-    censoring, _, mom, w = _design_pieces(spec, solved, settings)
+    solved = find_root(gap, lo, hi, _ACCRUAL_ROOT)
+    censoring, mom, w = _design_pieces(spec, solved)
     n = max(1, _ceil_with_slack(r * solved))
-    return _build_result(spec, solved, n, censoring, mom, w, settings)
+    return _build_result(spec, solved, n, censoring, mom, w)
 
 
-def power(spec: DesignSpec, n: int, settings: QuadratureSettings = DEFAULT_QUADRATURE) -> float:
+def power(spec: DesignSpec, n: int) -> float:
     """Asymptotic power of the two-sided test with n subjects."""
     if n < 1:
         raise DomainError("sample size must be at least 1")
     if spec.accrual_length is None:
         raise ConfigError("power needs a spec with a fixed accrual_length")
-    _, _, mom, w = _design_pieces(spec, spec.accrual_length, settings)
+    _, mom, w = _design_pieces(spec, spec.accrual_length)
     return _power_at(mom, w, n, spec.alpha)
 
 

@@ -341,8 +341,3 @@ class CensoringModel:
             return (kink,)
         return ()
 
-    def administrative_horizon(self, entry_time):
-        """Maximum observable time on study for a subject entering at ``entry_time``."""
-        arr = np.asarray(entry_time, dtype=float)
-        return _match(entry_time, np.clip(self.analysis_time - arr, 0.0, None))
-

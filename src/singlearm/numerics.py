@@ -176,7 +176,9 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     the others; this is what makes parallel simulation results independent
     of the worker count.
     """
-    if master_seed < 0 or index < 0:
-        raise DomainError("seed and stream index must be non-negative")
+    if not (0 <= master_seed < 2**64 and 0 <= index < 2**64):
+        raise DomainError(
+            f"seed and stream index must lie in [0, 2**64), got ({master_seed}, {index})"
+        )
     key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

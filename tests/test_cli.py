@@ -134,6 +134,16 @@ class TestDesignCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "nope.yaml")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [("1: 2\nfoo: 3\n", "1"), ("null: 4\nfoo: 3\n", "None"), ("true: 5\nfoo: 3\n", "True")],
+        ids=["int", "null", "bool"],
+    )
+    def test_non_string_keys_rejected(self, tmp_path, capsys, extra, named):
+        cfg = put(tmp_path, "design.yaml", DESIGN_YAML + extra)
+        assert main(["design", "--config", cfg]) == EXIT_USAGE
+        assert f"unknown config key for design: {named}" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_three_subject_run(self, tmp_path):
@@ -252,6 +262,21 @@ class TestSimulateCommand:
         assert report["config"]["replications"] == 150
         assert report["results"]["replications"] == 150
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SIMULATE_YAML.replace("seed: 7", "seed: 18446744073709551616"),
+            # run k of a preset is keyed seed + k, so run 1 passes 2**64
+            "preset: pbc\nseed: 18446744073709551615\n",
+        ],
+        ids=["scenario", "preset_run"],
+    )
+    def test_seed_past_64_bits_rejected(self, tmp_path, capsys, text):
+        cfg = put(tmp_path, "sim.yaml", text)
+        code = main(["simulate", "--config", cfg, "--replications", "100", "--workers", "1"])
+        assert code == EXIT_USAGE
+        assert "2**64" in capsys.readouterr().err
+
     def test_missing_seed_rejected(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML.replace("seed: 7\n", ""))
         assert main(["simulate", "--config", cfg, "--workers", "1"]) == EXIT_USAGE
@@ -355,6 +380,41 @@ class TestSubjectCsvHelpers:
         with pytest.raises(Exception) as excinfo:
             read_subject_csv(path, 8.0)
         assert "line 3" in str(excinfo.value)
+
+
+class TestUnreadablePaths:
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["design", "--config", str(tmp_path)]) == EXIT_USAGE
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "design.yaml"
+        cfg.write_bytes(DESIGN_YAML.encode() + b"# caf\xe9\n")
+        assert main(["design", "--config", str(cfg)]) == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_data_is_not_utf8(self, tmp_path, capsys):
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
+        data = tmp_path / "subjects.csv"
+        data.write_bytes(SUBJECT_CSV.encode() + b"1.0,\xff,0\n")
+        assert main(["analyze", "--config", cfg, "--data", str(data)]) == EXIT_DATA
+        assert str(data) in capsys.readouterr().err
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
+        data = tmp_path / "subjects"
+        data.mkdir()
+        assert main(["analyze", "--config", cfg, "--data", str(data)]) == EXIT_DATA
+        assert str(data) in capsys.readouterr().err
+
+    def test_output_directory_missing(self, tmp_path, capsys):
+        cfg = put(tmp_path, "design.yaml", DESIGN_YAML)
+        out = str(tmp_path / "missing" / "report.json")
+        assert main(["design", "--config", cfg, "--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert out in captured.err
+        # rejected before the design is computed
+        assert ":: design" not in captured.out
 
 
 class TestArgumentParsing:

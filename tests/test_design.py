@@ -31,6 +31,7 @@ from singlearm.models import (
     Exponential,
     ExponentialDropout,
     NoDropout,
+    PiecewiseExponential,
     UniformAccrual,
     Weibull,
     dropout_from_yearly_rate,
@@ -375,6 +376,89 @@ class TestSolveAccrualLength:
     def test_requires_accrual_rate(self):
         with pytest.raises(ConfigError):
             solve_accrual_length(benchmark_spec(1.0, 1.0, 1.5, WeightPolicy.wu()))
+
+
+def design_fields(result):
+    m = result.moments
+    return (
+        result.n, result.weight_used, result.accrual_length, result.analysis_time,
+        m.v1, m.v0, m.v01, m.v00,
+        result.expected_event_rate_null, result.expected_event_rate_alt, result.achieved_power,
+    )
+
+
+class TestGoldenDesigns:
+    """Exact design numbers. Any change to the quadrature (integrand factor
+    order, breakpoints, accuracy targets) or to the sample-size and power
+    formulas shows up here; such a change must be declared, not absorbed by
+    quietly re-recording these values."""
+
+    # n, weight, accrual length, analysis time, v1, v0, v01, v00,
+    # event rate under the reference law, under the alternative, achieved power
+    LIVER_MOMENTS = (
+        0.19493982736142546, 0.34114469788249463, 0.03901880288223658, 0.06828290504391402,
+        0.3136293608279162, 0.19493982736142546,
+    )
+    LIVER = {
+        "compensator": (113, 0.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8022888467654373),
+        "counting": (76, 1.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8021792370999916),
+        "wu": (95, 0.5, 5.0, 8.0, *LIVER_MOMENTS, 0.8028016717284675),
+        "uncorrelated_null": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064527),
+        "uncorrelated_alt": (106, 0.20539250131515494, 5.0, 8.0, *LIVER_MOMENTS, 0.803807083285416),
+        "combined": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064527),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LIVER))
+    def test_liver_case(self, kind):
+        assert design_fields(sample_size(case_study_spec(WeightPolicy(kind)))) == self.LIVER[kind]
+
+    def test_dropout_and_back_loaded_accrual(self):
+        spec = DesignSpec(
+            null_model=Weibull(1.5, 2.0),
+            follow_up=1.0,
+            weight_policy=WeightPolicy.uncorrelated_alt(),
+            hazard_ratio=1.5,
+            accrual_length=3.0,
+            accrual_exponent=2.0,
+            dropout=dropout_from_yearly_rate(0.2),
+        )
+        assert design_fields(sample_size(spec)) == (
+            147, 0.3708684252669357, 3.0, 4.0,
+            0.2788091196996141, 0.41821367954942096, 0.09483277793514676, 0.14224916690272013,
+            0.3750915825436038, 0.2788091196996141, 0.8012807501395838,
+        )
+
+    def test_piecewise_exponential(self):
+        spec = DesignSpec(
+            null_model=PiecewiseExponential((1.0, 3.0), (0.2, 0.4, 0.1)),
+            follow_up=2.0,
+            weight_policy=WeightPolicy.uncorrelated_null(),
+            hazard_ratio=1.6,
+            accrual_length=2.5,
+            dropout=dropout_from_yearly_rate(0.1),
+        )
+        assert design_fields(sample_size(spec)) == (
+            78, 0.38574206660201715, 2.5, 4.5,
+            0.3839613192335872, 0.6143381107737393, 0.15959709631271612, 0.2553553541003459,
+            0.5286535328520386, 0.3839613192335872, 0.8021475603760939,
+        )
+
+    def test_accrual_rate_solve(self):
+        spec = DesignSpec(
+            null_model=Weibull(1.22, 9.0),
+            follow_up=3.0,
+            weight_policy=WeightPolicy.uncorrelated_null(),
+            hazard_ratio=1.75,
+            accrual_rate=21.2,
+        )
+        assert design_fields(solve_accrual_length(spec)) == (
+            106, 0.19200667202308805, 4.985640948344435, 7.985640948344435,
+            0.1946656312916765, 0.34066485476043395, 0.03889489194853394, 0.0680660609099344,
+            0.31323363303455104, 0.1946656312916765, 0.8012539013274119,
+        )
+
+    def test_power(self):
+        assert power(case_study_spec(WeightPolicy.combined()), 90) == 0.7267088225183714
 
 
 class TestSuggestPolicy:

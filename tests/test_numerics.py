@@ -174,3 +174,10 @@ class TestSubstream:
             substream(-1, 0)
         with pytest.raises(DomainError):
             substream(0, -1)
+
+    def test_keys_past_64_bits_rejected(self):
+        substream(2**64 - 1, 2**64 - 1)
+        with pytest.raises(DomainError):
+            substream(2**64, 0)
+        with pytest.raises(DomainError):
+            substream(0, 2**64)
