@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -49,27 +50,14 @@ from .models import (
     Exponential,
     ExponentialDropout,
     NoDropout,
-    PowerAccrual,
     SurvivalModel,
-    UniformAccrual,
     Weibull,
+    _accrual_law,
     dropout_from_yearly_rate,
     hazard_ratio_alternative,
 )
-from .presets import (
-    BENCHMARK_HAZARD_RATIOS,
-    BENCHMARK_MEDIANS,
-    BENCHMARK_POLICIES,
-    BENCHMARK_SHAPES,
-    PBC_POLICIES,
-    SWEEP_SAMPLE_SIZES,
-    SWEEP_TARGET_RATES,
-    SWEEP_WEIGHTS,
-    pbc_design,
-    sweep_censoring,
-    sweep_truth,
-)
-from .simulate import ScenarioSpec, run_scenario, scenario_table, weight_sweep
+from .presets import PRESETS
+from .simulate import ScenarioSpec, run_scenario
 
 __all__ = [
     "ReportEnvelope",
@@ -206,27 +194,43 @@ _ANALYZE_SCHEMA = {
     **_DROPOUT_KEYS,
 }
 
-_SIMULATE_SCHEMA = {
-    "preset": _Key(str, choices=("figure1", "table2", "pbc")),
-    **{k: dataclasses.replace(v, required=False) for k, v in _MODEL_KEYS.items()},
+_RUN_KEYS = {
+    "alpha": _Key(float, default=0.05),
+    "replications": _Key(int, default=100_000),
+    "seed": _Key(int, required=True),
+}
+
+_SCENARIO_SCHEMA = {
+    **_MODEL_KEYS,
     "truth_family": _Key(str, choices=("weibull", "exponential")),
     "truth_shape": _Key(float),
     "truth_median": _Key(float),
     "truth_rate": _Key(float),
     "hazard_ratio_truth": _Key(float),
     "hazard_ratio": _Key(float),
-    "n": _Key(int),
-    "policies": _Key(str),
-    "follow_up": _Key(float),
-    "accrual_length": _Key(float),
+    "n": _Key(int, required=True),
+    "policies": _Key(str, required=True),
+    "follow_up": _Key(float, required=True),
+    "accrual_length": _Key(float, required=True),
     "accrual_exponent": _Key(float, default=1.0),
     **_DROPOUT_KEYS,
-    "alpha": _Key(float, default=0.05),
+    **_RUN_KEYS,
+}
+
+# every setting a preset runner may take as a keyword parameter
+_PRESET_SETTINGS = {
+    **_RUN_KEYS,
     "power": _Key(float, default=0.8),
-    "replications": _Key(int, default=100_000),
-    "seed": _Key(int, required=True),
     "include_power": _Key(bool, default=True),
 }
+
+
+def _preset_schema(name: Any) -> dict[str, _Key]:
+    """The ``preset`` key plus the settings that the named runner reads."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigError(f"config key 'preset' must be one of {', '.join(PRESETS)}")
+    reads = inspect.signature(PRESETS[name]).parameters
+    return {"preset": _Key(str), **{k: v for k, v in _PRESET_SETTINGS.items() if k in reads}}
 
 
 def _load_config(path: str) -> dict:
@@ -287,9 +291,7 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
 
 
 def _survival_from(config: dict, prefix: str) -> SurvivalModel:
-    family = config.get(f"{prefix}_family")
-    if family is None:
-        raise ConfigError(f"missing required config key: {prefix}_family")
+    family = config[f"{prefix}_family"]
     shape = config.get(f"{prefix}_shape")
     median = config.get(f"{prefix}_median")
     rate = config.get(f"{prefix}_rate")
@@ -351,12 +353,6 @@ def _parse_policy_token(token: str) -> WeightPolicy:
     if token in WeightPolicy.KINDS - {"fixed"}:
         return WeightPolicy(token)
     raise ConfigError(f"unknown policy token {token!r}; use e.g. wu or fixed:0.3")
-
-
-def _accrual_from(length: float, exponent: float):
-    if exponent == 1.0:
-        return UniformAccrual(length)
-    return PowerAccrual(length, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +512,7 @@ def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
     design_context = None
     if cfg.get("accrual_length") is not None:
         design_context = CensoringModel(
-            _accrual_from(cfg["accrual_length"], cfg["accrual_exponent"]),
+            _accrual_law(cfg["accrual_length"], cfg["accrual_exponent"]),
             _dropout_from(cfg),
             cfg["analysis_time"],
         )
@@ -539,12 +535,9 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
         truth = hazard_ratio_alternative(null, cfg["hazard_ratio_truth"])
     else:
         truth = null
-    for key in ("n", "policies", "follow_up", "accrual_length"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"missing required config key for a simulate scenario: {key!r}")
     policies = tuple(_parse_policy_token(tok) for tok in cfg["policies"].split(","))
     censoring = CensoringModel(
-        _accrual_from(cfg["accrual_length"], cfg["accrual_exponent"]),
+        _accrual_law(cfg["accrual_length"], cfg["accrual_exponent"]),
         _dropout_from(cfg),
         cfg["accrual_length"] + cfg["follow_up"],
     )
@@ -569,63 +562,21 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
 
 
 def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
-    """Estimate operating characteristics by Monte Carlo."""
-    cfg = _validate_config(config, _SIMULATE_SCHEMA, "simulate")
+    """Estimate operating characteristics by Monte Carlo: one scenario, or
+    the preset protocol that ``preset`` names."""
+    preset = config.get("preset")
+    if preset is None:
+        cfg = _validate_config(config, _SCENARIO_SCHEMA, "a simulate scenario")
+    else:
+        cfg = _validate_config(config, _preset_schema(preset), f"simulate preset {preset}")
     warnings: list[str] = []
     if cfg["replications"] < 2:
         warnings.append("standard errors are degenerate with fewer than two replications")
-    preset = cfg.get("preset")
-    if preset == "figure1":
-        rows = []
-        for idx, target in enumerate(SWEEP_TARGET_RATES):
-            truth = sweep_truth(target)
-            base = ScenarioSpec(
-                truth_model=truth,
-                null_model=truth,
-                censoring=sweep_censoring(),
-                n=SWEEP_SAMPLE_SIZES[0],
-                policies=(WeightPolicy.wu(),),
-                replications=cfg["replications"],
-                master_seed=cfg["seed"] + idx,
-                alpha=cfg["alpha"],
-            )
-            for cell in weight_sweep(base, SWEEP_WEIGHTS, SWEEP_SAMPLE_SIZES, workers=workers):
-                rows.append({"target_event_rate": target, **_jsonify(cell)})
-        payload = {"rows": rows}
-    elif preset == "table2":
-        cells = scenario_table(
-            BENCHMARK_SHAPES,
-            BENCHMARK_MEDIANS,
-            BENCHMARK_HAZARD_RATIOS,
-            BENCHMARK_POLICIES,
-            alpha=cfg["alpha"],
-            beta=1.0 - cfg["power"],
-            replications=cfg["replications"],
-            master_seed=cfg["seed"],
-            include_power=cfg["include_power"],
-            workers=workers,
-        )
-        payload = {"rows": [_jsonify(cell) for cell in cells]}
-    elif preset == "pbc":
-        pbc = pbc_design(PBC_POLICIES[0])
-        cells = scenario_table(
-            (pbc.null_model.shape,),
-            (pbc.null_model.median,),
-            (pbc.hazard_ratio,),
-            PBC_POLICIES,
-            accrual_length=pbc.accrual_length,
-            follow_up=pbc.follow_up,
-            dropout=pbc.dropout,
-            alpha=cfg["alpha"],
-            beta=1.0 - cfg["power"],
-            replications=cfg["replications"],
-            master_seed=cfg["seed"],
-            include_power=cfg["include_power"],
-            workers=workers,
-        )
-        payload = {"rows": [_jsonify(cell) for cell in cells]}
-    else:
+    if preset is None:
         payload = _simulate_scenario(cfg, workers)
+    else:
+        settings = {k: v for k, v in cfg.items() if k != "preset"}
+        payload = {"rows": [_jsonify(row) for row in PRESETS[preset](**settings, workers=workers)]}
     return _envelope("simulate", cfg, payload, warnings)
 
 

@@ -32,9 +32,8 @@ from .models import (
     CensoringModel,
     DropoutModel,
     NoDropout,
-    PowerAccrual,
     SurvivalModel,
-    UniformAccrual,
+    _accrual_law,
     hazard_ratio_alternative,
 )
 from .numerics import RootSettings, find_root, integrate, normal_cdf, normal_quantile
@@ -222,11 +221,11 @@ class DesignSpec:
         return hazard_ratio_alternative(self.null_model, self.hazard_ratio)
 
     def censoring_at(self, accrual_length: float) -> CensoringModel:
-        if self.accrual_exponent == 1.0:
-            accrual = UniformAccrual(accrual_length)
-        else:
-            accrual = PowerAccrual(accrual_length, self.accrual_exponent)
-        return CensoringModel(accrual, self.dropout, accrual_length + self.follow_up)
+        return CensoringModel(
+            _accrual_law(accrual_length, self.accrual_exponent),
+            self.dropout,
+            accrual_length + self.follow_up,
+        )
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,14 @@ class PowerAccrual(AccrualModel):
         return _match(u, self.length * np.asarray(u, dtype=float) ** (1.0 / self.exponent))
 
 
+def _accrual_law(length: float, exponent: float) -> AccrualModel:
+    """Entry law on [0, length] with the given exponent: uniform for
+    exponent 1, the power law otherwise."""
+    if exponent == 1.0:
+        return UniformAccrual(length)
+    return PowerAccrual(length, exponent)
+
+
 class DropoutModel:
     """Base class for censoring-by-dropout laws."""
 

@@ -1,7 +1,7 @@
 """Preconfigured study protocols used by the benchmarks, the CLI presets,
 and the acceptance suite.
 
-Three protocols are bundled:
+Three protocols are bundled, and ``PRESETS`` runs each of them by name:
 
 * the benchmark grid: Weibull reference laws over a grid of shapes,
   medians, and hazard ratios, recruited uniformly for 3 years with 1 year
@@ -12,6 +12,10 @@ Three protocols are bundled:
 * the liver-study case: a Weibull reference with shape 1.22 and median 9
   years, a hazard ratio of 1.75, 5 years of accrual, and 3 years of
   follow-up.
+
+A runner takes its settings and ``workers`` as keyword arguments; its
+settings are the only config keys that ``simulate --preset <name>``
+accepts besides ``preset``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .models import (
     Weibull,
 )
 from .numerics import find_root
+from .simulate import ScenarioSpec, TableCell, scenario_table, weight_sweep
 
 __all__ = [
     "BENCHMARK_SHAPES",
@@ -43,6 +48,7 @@ __all__ = [
     "sweep_truth",
     "pbc_design",
     "PBC_POLICIES",
+    "PRESETS",
 ]
 
 BENCHMARK_SHAPES = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
@@ -64,12 +70,7 @@ _SWEEP_ACCRUAL = 1.0
 _SWEEP_FOLLOW_UP = 1.0
 _SWEEP_YEARLY_DROPOUT = 0.1
 
-PBC_POLICIES = (
-    WeightPolicy.compensator(),
-    WeightPolicy.counting(),
-    WeightPolicy.wu(),
-    WeightPolicy.uncorrelated_null(),
-)
+PBC_POLICIES = BENCHMARK_POLICIES
 
 
 def benchmark_censoring() -> CensoringModel:
@@ -118,3 +119,79 @@ def pbc_design(policy: WeightPolicy) -> DesignSpec:
         alpha=0.05,
         beta=0.2,
     )
+
+
+def _run_figure1(*, seed: int, replications: int, alpha: float, workers: int = 1) -> list[dict]:
+    """Weight sweep at every target event rate; the k-th rate is seeded
+    ``seed + k``. One row per (target rate, sample size, weight)."""
+    rows = []
+    for idx, target in enumerate(SWEEP_TARGET_RATES):
+        truth = sweep_truth(target)
+        base = ScenarioSpec(
+            truth_model=truth,
+            null_model=truth,
+            censoring=sweep_censoring(),
+            n=SWEEP_SAMPLE_SIZES[0],
+            policies=(WeightPolicy.wu(),),
+            replications=replications,
+            master_seed=seed + idx,
+            alpha=alpha,
+        )
+        for cell in weight_sweep(base, SWEEP_WEIGHTS, SWEEP_SAMPLE_SIZES, workers=workers):
+            rows.append({"target_event_rate": target, **cell._asdict()})
+    return rows
+
+
+def _table_runner(shapes, medians, hazard_ratios, policies, **censoring):
+    """Runner of the design, type I error and power table over one grid;
+    ``censoring`` holds the accrual length, follow-up and dropout of the
+    protocol."""
+
+    def run(
+        *,
+        seed: int,
+        replications: int,
+        alpha: float,
+        power: float,
+        include_power: bool,
+        workers: int = 1,
+    ) -> tuple[TableCell, ...]:
+        return scenario_table(
+            shapes,
+            medians,
+            hazard_ratios,
+            policies,
+            **censoring,
+            alpha=alpha,
+            beta=1.0 - power,
+            replications=replications,
+            master_seed=seed,
+            include_power=include_power,
+            workers=workers,
+        )
+
+    return run
+
+
+_PBC = pbc_design(PBC_POLICIES[0])
+
+PRESETS = {
+    "figure1": _run_figure1,
+    "table2": _table_runner(
+        BENCHMARK_SHAPES,
+        BENCHMARK_MEDIANS,
+        BENCHMARK_HAZARD_RATIOS,
+        BENCHMARK_POLICIES,
+        accrual_length=BENCHMARK_ACCRUAL,
+        follow_up=BENCHMARK_FOLLOW_UP,
+    ),
+    "pbc": _table_runner(
+        (_PBC.null_model.shape,),
+        (_PBC.null_model.median,),
+        (_PBC.hazard_ratio,),
+        PBC_POLICIES,
+        accrual_length=_PBC.accrual_length,
+        follow_up=_PBC.follow_up,
+        dropout=_PBC.dropout,
+    ),
+}

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, exit codes, and report files."""
 
 import csv
+import hashlib
+import itertools
 import json
 import math
 import textwrap
@@ -20,6 +22,7 @@ from singlearm.cli import (
     read_subject_csv,
     write_subject_csv,
 )
+from reference_values import BENCHMARK_SAMPLE_SIZES, SAMPLE_SIZE_POLICY_ORDER
 
 LOG_TWO = math.log(2.0)
 
@@ -77,6 +80,12 @@ def put(tmp_path, name, text):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def rows_digest(rows):
+    """sha256 of the rows as canonical JSON (sorted keys, no spaces)."""
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestDesignCommand:
@@ -277,6 +286,32 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert "2**64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("preset: pbc\nseed: 1\nn: 5\ninclude_power: false\n", "simulate preset pbc: 'n'"),
+            ("preset: figure1\nseed: 1\ninclude_power: false\n", "simulate preset figure1: 'include_power'"),
+            (SIMULATE_YAML + "power: 0.9\n", "a simulate scenario: 'power'"),
+        ],
+        ids=["pbc_n", "figure1_include_power", "scenario_power"],
+    )
+    def test_key_the_mode_never_reads_rejected(self, tmp_path, capsys, text, named):
+        cfg = put(tmp_path, "sim.yaml", text)
+        code = main(["simulate", "--config", cfg, "--replications", "20", "--workers", "1"])
+        assert code == EXIT_USAGE
+        assert f"unknown config key for {named}" in capsys.readouterr().err
+
+    def test_preset_echo_holds_only_keys_it_reads(self, tmp_path):
+        cfg = put(tmp_path, "sim.yaml", "preset: pbc\nreplications: 200\nseed: 5\n")
+        out = str(tmp_path / "report.json")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_OK
+        report = read_json(out)
+        assert report["config"] == {
+            "preset": "pbc", "alpha": 0.05, "replications": 200, "seed": 5,
+            "power": 0.8, "include_power": True,
+        }
+        assert cmd_simulate(dict(report["config"])).results == report["results"]
+
     def test_missing_seed_rejected(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML.replace("seed: 7\n", ""))
         assert main(["simulate", "--config", cfg, "--workers", "1"]) == EXIT_USAGE
@@ -338,6 +373,48 @@ class TestSimulateCommand:
         cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML)
         out = str(tmp_path / "rows.csv")
         assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_USAGE
+
+
+class TestPresetRuns:
+    # any change to the engine, the stream keys or the row shape changes
+    # these digests
+    FIGURE1_DIGEST = "8db0518606625dc3b8ff0c61135267d82ac370911b98f65de55d884e98e6ea50"
+    TABLE2_DIGEST = "82b885b1f3f24f54b68c298151eeae4825e3bbf71a1e36b06d1fcf73a4563ce7"
+
+    def test_figure1_rows_to_csv(self, tmp_path):
+        cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")
+        out = str(tmp_path / "sweep.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        targets = (0.2, 0.4, 0.6, 0.8)
+        sizes = (25, 50, 100, 250, 500, 1000, 5000)
+        weights = [i / 100.0 for i in range(101)]
+        assert [
+            (float(r["target_event_rate"]), int(r["n"]), float(r["weight"])) for r in rows
+        ] == list(itertools.product(targets, sizes, weights))
+        assert rows_digest(rows) == self.FIGURE1_DIGEST
+
+    def test_table2_sample_sizes(self, tmp_path):
+        cfg = put(
+            tmp_path, "sim.yaml", "preset: table2\nreplications: 20\nseed: 12\ninclude_power: false\n"
+        )
+        out = str(tmp_path / "table.json")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_OK
+        rows = read_json(out)["results"]["rows"]
+        assert len(rows) == 216
+        expected = [
+            (shape, median, delta, label, BENCHMARK_SAMPLE_SIZES[(delta, shape)][median][k])
+            for shape in (0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
+            for median in (1.0, 2.0, 4.0)
+            for delta in (1.2, 1.5, 2.0)
+            for k, label in enumerate(SAMPLE_SIZE_POLICY_ORDER)
+        ]
+        assert [
+            (r["shape"], r["median"], r["hazard_ratio"], r["policy_label"], r["n"]) for r in rows
+        ] == expected
+        assert all(r["power"] is None for r in rows)
+        assert rows_digest(rows) == self.TABLE2_DIGEST
 
 
 def assert_same_columns(a, b):
