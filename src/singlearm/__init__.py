@@ -12,7 +12,6 @@ from .analysis import (
     TrialDataset,
     consistency_check_random_weight,
     counting_and_compensator,
-    random_weight_km,
     run_test,
 )
 from .design import (
@@ -78,7 +77,6 @@ __all__ = [
     "hazard_ratio_alternative",
     "moments",
     "power",
-    "random_weight_km",
     "resolve_weight",
     "run_scenario",
     "run_test",

@@ -28,7 +28,6 @@ __all__ = [
     "ConvergenceReport",
     "counting_and_compensator",
     "run_test",
-    "random_weight_km",
     "km_weight_from_arrays",
     "consistency_check_random_weight",
 ]
@@ -42,9 +41,11 @@ class TrialDataset:
     """Subject-level observables at an analysis time, held as columns.
 
     Each column is copied, coerced and made read-only, so the dataset never
-    aliases a caller's array. ``dropouts`` distinguishes loss to follow-up
-    from administrative censoring; it is optional and only consulted by
-    the data-driven weight.
+    aliases a caller's array. ``dropouts`` optionally marks loss to
+    follow-up, as opposed to administrative censoring. It is validated (no
+    subject both has an event and drops out) and written back by
+    ``cli.write_subject_csv``, but no statistic reads it: every subject
+    without an event is an observation of U = C ^ (t - Y)+ either way.
     """
 
     entry_times: np.ndarray
@@ -118,10 +119,6 @@ class TrialDataset:
     def __len__(self) -> int:
         return self.events.size
 
-    @property
-    def has_dropout_flags(self) -> bool:
-        return self.dropouts is not None
-
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -178,9 +175,9 @@ def km_weight_from_arrays(
         W(t) = 1 - int S_0 Lambda_0 dF_U / int F_0 dF_U
 
     with both integrals finite sums over the jumps of the estimator. When
-    the data carry no censoring information (every subject had an event, or
-    all jump mass sits where F_0 vanishes), the planning fallback weight is
-    returned instead and flagged.
+    no subject is censored (every subject had an event) or all jump mass
+    sits where F_0 vanishes, the planning fallback weight is returned
+    instead and flagged.
     """
     x = np.asarray(times_on_study, dtype=float)
     u_event = ~np.asarray(events, dtype=bool)
@@ -217,45 +214,22 @@ def km_weight_from_arrays(
     return RandomWeightResult(1.0 - num / den, False)
 
 
-def random_weight_km(
-    data: TrialDataset,
-    null: SurvivalModel,
-    fallback_weight: float | None = None,
-) -> RandomWeightResult:
-    """Data-driven Kaplan-Meier weight for a dataset; see
-    :func:`km_weight_from_arrays` for the construction."""
-    return km_weight_from_arrays(data.times_on_study, data.events, null, fallback_weight)
-
-
 def _resolve_analysis_weight(
     data: TrialDataset,
     null: SurvivalModel,
     policy: WeightPolicy,
     design_context: CensoringModel | None,
 ) -> tuple[float, bool]:
-    kind = policy.kind
-    if kind in ("compensator", "counting", "wu", "fixed"):
+    """The weight and whether it is ``random_km``'s fallback; every other
+    policy resolves as at design time, with no planning alternative."""
+    if policy.kind != "random_km":
         return resolve_weight(policy, null, None, design_context), False
-    if kind in ("uncorrelated_null", "combined"):
-        if design_context is None:
-            raise PolicyError(
-                f"policy {kind!r} needs the planning censoring assumptions (design_context)"
-            )
-        return resolve_weight(policy, null, None, design_context), False
-    if kind == "random_km":
-        if not data.has_dropout_flags:
-            raise PolicyError("random_km needs dropout flags on every record")
-        result = random_weight_km(data, null)
-        if result.used_fallback and design_context is not None:
-            # solved only here: the planning weight costs a quadrature root find
-            planning = resolve_weight(WeightPolicy.uncorrelated_null(), null, None, design_context)
-            return planning, True
-        return result.weight, result.used_fallback
-    if kind == "uncorrelated_alt":
-        raise PolicyError(
-            "uncorrelated_alt is resolved at design time; analyze with the resulting fixed weight"
-        )
-    raise PolicyError(f"unknown weight policy: {kind!r}")
+    result = km_weight_from_arrays(data.times_on_study, data.events, null)
+    if result.used_fallback and design_context is not None:
+        # solved only here: the planning weight costs a quadrature root find
+        planning = resolve_weight(WeightPolicy.uncorrelated_null(), null, None, design_context)
+        return planning, True
+    return result
 
 
 def run_test(

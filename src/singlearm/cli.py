@@ -70,10 +70,10 @@ __all__ = [
 ]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-EXIT_INFEASIBLE = 5
+EXIT_USAGE = ConfigError.exit_code
+EXIT_DATA = DataValidationError.exit_code
+EXIT_NUMERICAL = NumericalError.exit_code
+EXIT_INFEASIBLE = InfeasibleDesignError.exit_code
 
 _CSV_HEADER = ("entry_time", "time_on_study", "event")
 _CSV_HEADER_DROPOUT = _CSV_HEADER + ("dropout",)
@@ -371,11 +371,11 @@ def write_subject_csv(path: str, data: TrialDataset) -> None:
         map(repr, data.times_on_study.tolist()),
         data.events.astype(int).tolist(),
     ]
-    if data.has_dropout_flags:
+    if data.dropouts is not None:
         columns.append(data.dropouts.astype(int).tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER_DROPOUT if data.has_dropout_flags else _CSV_HEADER)
+        writer.writerow(_CSV_HEADER_DROPOUT if data.dropouts is not None else _CSV_HEADER)
         writer.writerows(zip(*columns))
 
 
@@ -696,21 +696,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"cannot write report {args.out}: {exc}") from None
             print(f"  report written to {args.out}")
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except InfeasibleDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except SingleArmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

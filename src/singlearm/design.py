@@ -165,6 +165,15 @@ class MomentSet:
             + 2.0 * self.v0 * self.v1
         )
 
+    @property
+    def w1(self) -> float:
+        """Weight uncorrelating the compensated count and the variance
+        estimator, w1 = (2 v00 - v0^2 - v01 + v0 v1) / sigma^2."""
+        sigma_sq = self.sigma_sq
+        if sigma_sq <= 0.0:
+            raise DegenerateDesignError("variance of the compensated count is zero")
+        return (2.0 * self.v00 - self.v0**2 - self.v01 + self.v0 * self.v1) / sigma_sq
+
     def sigma_bar_sq(self, w: float) -> float:
         """Mean of the weighted variance estimator, w v1 + (1 - w) v0."""
         return w * self.v1 + (1.0 - w) * self.v0
@@ -317,9 +326,8 @@ def weight_uncorrelated_null(null: SurvivalModel, censoring: CensoringModel) -> 
 def weight_uncorrelated_alt(
     null: SurvivalModel, alternative: SurvivalModel, censoring: CensoringModel
 ) -> float:
-    """Weight removing the correlation under the planning alternative:
-
-        w1(t) = (2 v00 - v0^2 - v01 + v0 v1) / sigma^2.
+    """Weight removing the correlation under the planning alternative,
+    ``MomentSet.w1`` of the alternative's moments.
 
     The value lies in [0, 1] whenever the compensator and the event count
     are non-positively correlated under the alternative. Steep reference
@@ -327,18 +335,14 @@ def weight_uncorrelated_alt(
     of the zero-correlation equation exceeds 1; callers needing a convex
     mixing weight should clamp the result to the unit interval.
     """
-    mom = moments(null, alternative, censoring)
-    sigma_sq = mom.sigma_sq
-    if sigma_sq <= 0.0:
-        raise DegenerateDesignError("variance of the compensated count is zero")
-    return (2.0 * mom.v00 - mom.v0**2 - mom.v01 + mom.v0 * mom.v1) / sigma_sq
+    return moments(null, alternative, censoring).w1
 
 
 def resolve_weight(
     policy: WeightPolicy,
     null: SurvivalModel,
     alternative: SurvivalModel | None,
-    censoring: CensoringModel,
+    censoring: CensoringModel | None,
 ) -> float:
     """Numeric weight implied by a policy under the planning assumptions."""
     if policy.kind == "compensator":
@@ -349,15 +353,19 @@ def resolve_weight(
         return 0.5
     if policy.kind == "fixed":
         return float(policy.value)
+    if policy.kind == "random_km":
+        raise PolicyError("random_km is estimated from trial data, not at design time")
+    if censoring is None:
+        raise PolicyError(f"policy {policy.kind!r} needs the planning censoring assumptions")
     if policy.kind == "uncorrelated_null":
         return weight_uncorrelated_null(null, censoring)
     if policy.kind == "combined":
         return min(weight_uncorrelated_null(null, censoring), 0.5)
-    if policy.kind == "uncorrelated_alt":
-        if alternative is None:
-            raise PolicyError("uncorrelated_alt needs a planning alternative")
-        return weight_uncorrelated_alt(null, alternative, censoring)
-    raise PolicyError(f"policy {policy.kind!r} cannot be resolved at design time")
+    if alternative is None:
+        raise PolicyError(
+            "uncorrelated_alt needs a planning alternative; analyze with its designed fixed weight"
+        )
+    return weight_uncorrelated_alt(null, alternative, censoring)
 
 
 def _required_n(mom: MomentSet, w: float, alpha: float, beta: float) -> float:
@@ -394,7 +402,10 @@ def _design_pieces(spec: DesignSpec, accrual_length: float):
     censoring = spec.censoring_at(accrual_length)
     alternative = spec.resolved_alternative()
     mom = moments(spec.null_model, alternative, censoring)
-    w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
+    if spec.weight_policy.kind == "uncorrelated_alt":  # resolve_weight would integrate mom again
+        w = mom.w1
+    else:
+        w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
     return censoring, mom, w
 
 

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Each branch maps to a distinct command-line exit code so callers can
-tell usage mistakes, bad data, numerical trouble, and infeasible
-designs apart without parsing messages.
+Each branch carries a distinct command-line exit code, ``exit_code``, so
+callers can tell usage mistakes (2), bad data (3), numerical trouble (4)
+and infeasible designs (5) apart without parsing messages.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 class SingleArmError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigError(SingleArmError):
@@ -31,6 +33,8 @@ class DataValidationError(SingleArmError):
     front ends can report file line numbers.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, record_index: int | None = None):
         super().__init__(message)
         self.record_index = record_index
@@ -38,6 +42,8 @@ class DataValidationError(SingleArmError):
 
 class NumericalError(SingleArmError):
     """A numerical routine failed to meet its accuracy contract."""
+
+    exit_code = 4
 
 
 class QuadratureError(NumericalError):
@@ -61,6 +67,8 @@ class IndeterminateTestError(NumericalError):
 
 class InfeasibleDesignError(SingleArmError):
     """No sample size or accrual length satisfies the design constraints."""
+
+    exit_code = 5
 
 
 class DegenerateDesignError(InfeasibleDesignError):

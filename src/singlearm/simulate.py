@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -71,7 +72,6 @@ class TrialArrays(NamedTuple):
     entry: np.ndarray
     time_on_study: np.ndarray
     event: np.ndarray
-    dropout: np.ndarray
 
 
 def draw_trial(
@@ -95,8 +95,7 @@ def draw_trial(
     censor_time = np.minimum(dropout_time, horizon)
     observed = np.minimum(event_time, censor_time)
     event = event_time <= censor_time
-    dropout = ~event & (dropout_time < horizon)
-    return TrialArrays(entry, observed, event, dropout)
+    return TrialArrays(entry, observed, event)
 
 
 @dataclass(frozen=True)
@@ -221,13 +220,14 @@ def _tally(
     spec: ScenarioSpec, weights: tuple[float | None, ...], workers: int, stream_base: int = 0
 ) -> np.ndarray:
     """Counters of ``_run_blocks`` over all of the scenario's blocks, run in
-    this process or dealt round-robin to a process pool; integer sums make
-    the result the same either way."""
+    this process or dealt round-robin to a process pool of at most one
+    process per block and per CPU; integer sums make the result the same
+    either way."""
     km_fallback = (
         weight_uncorrelated_null(spec.null_model, spec.censoring) if None in weights else None
     )
     n_blocks = math.ceil(spec.replications / _block_reps(spec.n))
-    workers = min(workers, n_blocks)
+    workers = min(workers, n_blocks, os.cpu_count() or 1)
     if workers <= 1:
         return _run_blocks(spec, weights, km_fallback, stream_base, range(n_blocks))
     parts = [range(k, n_blocks, workers) for k in range(workers)]

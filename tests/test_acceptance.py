@@ -6,6 +6,7 @@ Set ACCEPTANCE_FAST=1 to run 10,000-replication versions with
 proportionally widened tolerances during development.
 """
 
+import functools
 import math
 import os
 import random
@@ -218,23 +219,31 @@ def test_criterion_4_case_study_design_and_errors():
             assert abs(alt_run.rate_left - power_pub) < CASE_TOL_POWER, (kind, alt_run.rate_left)
 
 
+@functools.cache
+def large_sample_sweep(idx, replications):
+    """Left-tail cells at n=5000 for five weights under the idx-th sweep
+    target, seeded 3000 + idx. Criterion 5 and the counting-band xfail
+    both read the idx=0 sweep; the weights share its datasets, so a cell's
+    counters do not depend on which other weights run with it."""
+    truth = sweep_truth(SWEEP_TARGET_RATES[idx])
+    censoring = sweep_censoring()
+    w0 = weight_uncorrelated_null(truth, censoring)
+    base = ScenarioSpec(
+        truth_model=truth,
+        null_model=truth,
+        censoring=censoring,
+        n=5000,
+        policies=(WeightPolicy.wu(),),
+        replications=replications,
+        master_seed=3000 + idx,
+    )
+    return weight_sweep(base, (0.0, 0.25, 0.5, w0, 1.0), (5000,))
+
+
 def test_criterion_5_large_sample_weight_insensitivity():
     with criterion(5, "left-tail error at n=5000 across weights and event rates"):
         for idx, target in enumerate(SWEEP_TARGET_RATES):
-            truth = sweep_truth(target)
-            censoring = sweep_censoring()
-            w0 = weight_uncorrelated_null(truth, censoring)
-            base = ScenarioSpec(
-                truth_model=truth,
-                null_model=truth,
-                censoring=censoring,
-                n=5000,
-                policies=(WeightPolicy.wu(),),
-                replications=REPS,
-                master_seed=3000 + idx,
-            )
-            cells = weight_sweep(base, (0.0, 0.25, 0.5, w0, 1.0), (5000,))
-            for cell in cells:
+            for cell in large_sample_sweep(idx, REPS):
                 assert cell.indeterminate == 0
                 if not FAST and cell.weight == 1.0 and idx == 0:
                     # The pure counting weight at the lowest event rate is
@@ -400,7 +409,6 @@ def test_criterion_7_methodological_properties():
                     arrays.time_on_study[0],
                     arrays.event[0],
                     bench.analysis_time,
-                    arrays.dropout[0],
                 )
             )
         report = consistency_check_random_weight(
@@ -460,18 +468,7 @@ def test_covariance_sign_claim_fails_for_steep_hazard():
     "cells meet it",
 )
 def test_counting_weight_band_fails_at_low_event_rate():
-    target = SWEEP_TARGET_RATES[0]
-    truth = sweep_truth(target)
-    base = ScenarioSpec(
-        truth_model=truth,
-        null_model=truth,
-        censoring=sweep_censoring(),
-        n=5000,
-        policies=(WeightPolicy.wu(),),
-        replications=100_000,
-        master_seed=3000,
-    )
-    (cell,) = weight_sweep(base, (1.0,), (5000,))
+    (cell,) = [c for c in large_sample_sweep(0, 100_000) if c.weight == 1.0]
     assert abs(cell.rate_left - 0.025) < 0.002
 
 

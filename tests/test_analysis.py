@@ -11,7 +11,6 @@ from singlearm.analysis import (
     consistency_check_random_weight,
     counting_and_compensator,
     km_weight_from_arrays,
-    random_weight_km,
     run_test,
 )
 from singlearm.design import WeightPolicy, weight_uncorrelated_null
@@ -177,16 +176,23 @@ class TestRunTest:
 
 
 class TestRandomWeightKM:
-    def test_requires_dropout_flags(self):
-        with pytest.raises(PolicyError):
-            run_test(THREE_SUBJECTS, NULL_MEDIAN_NINE, WeightPolicy.random_km())
+    def test_needs_no_dropout_flags(self):
+        # every subject without an event is a censoring-time observation,
+        # whatever its flag says
+        bare = run_test(THREE_SUBJECTS, NULL_MEDIAN_NINE, WeightPolicy.random_km())
+        assert not bare.weight_fallback
+        for dropped in (True, False):
+            flagged = dataset(
+                [(0.5, 7.5, True, False), (3.5, 4.5, True, False), (1.0, 6.0, False, dropped)]
+            )
+            assert bare == run_test(flagged, NULL_MEDIAN_NINE, WeightPolicy.random_km())
 
     def test_single_jump_hand_value(self):
         null = Weibull(1.0, 1.0)
         data = dataset(
             [(0.0, 0.3, True, False), (0.0, 0.5, False, True)], analysis_time=2.0
         )
-        result = random_weight_km(data, null)
+        result = km_weight_from_arrays(data.times_on_study, data.events, null)
         lam = LOG_TWO * 0.5
         expected = 1.0 - (math.exp(-lam) * lam) / (1.0 - math.exp(-lam))
         assert result.weight == pytest.approx(expected, rel=1e-14)
@@ -197,7 +203,7 @@ class TestRandomWeightKM:
         null = Exponential(1.0)
         times = (0.4, 0.8, 1.2)
         data = dataset([(0.0, x, False, True) for x in times], analysis_time=2.0)
-        result = random_weight_km(data, null)
+        result = km_weight_from_arrays(data.times_on_study, data.events, null)
         num = sum(math.exp(-x) * x for x in times) / 3.0
         den = sum(1.0 - math.exp(-x) for x in times) / 3.0
         assert result.weight == pytest.approx(1.0 - num / den, rel=1e-12)
@@ -211,7 +217,7 @@ class TestRandomWeightKM:
             [(0.0, 1.0, True, False), (0.0, 1.0, False, True), (0.0, 2.0, False, True)],
             analysis_time=4.0,
         )
-        result = random_weight_km(data, null)
+        result = km_weight_from_arrays(data.times_on_study, data.events, null)
         jumps = ((1.0, 1.0 / 3.0), (2.0, 2.0 / 3.0))
         num = sum(math.exp(-u) * u * mass for u, mass in jumps)
         den = sum((1.0 - math.exp(-u)) * mass for u, mass in jumps)
@@ -219,9 +225,9 @@ class TestRandomWeightKM:
 
     def test_all_events_falls_back(self):
         null = Exponential(1.0)
-        data = dataset([(0.0, x, True, False) for x in (0.2, 0.5, 0.9)], analysis_time=2.0)
-        assert random_weight_km(data, null) == (0.5, True)
-        assert random_weight_km(data, null, fallback_weight=0.3) == (0.3, True)
+        times, events = np.array([0.2, 0.5, 0.9]), np.ones(3, dtype=bool)
+        assert km_weight_from_arrays(times, events, null) == (0.5, True)
+        assert km_weight_from_arrays(times, events, null, fallback_weight=0.3) == (0.3, True)
 
     def test_fallback_uses_planning_weight_through_run_test(self):
         null = Exponential(1.0)
@@ -241,7 +247,8 @@ class TestRandomWeightKM:
             [(0.0, float(x), bool(e), bool(not e)) for x, e in zip(times, events)],
             analysis_time=3.0,
         )
-        assert km_weight_from_arrays(times, events, null) == random_weight_km(data, null)
+        out = run_test(data, null, WeightPolicy.random_km())
+        assert km_weight_from_arrays(times, events, null) == (out.weight, out.weight_fallback)
 
     def test_converges_to_planning_weight(self):
         # Simulate one large trial under the reference law and compare the
@@ -351,7 +358,7 @@ class TestValidation:
         for column in (data.entry_times, data.times_on_study, data.events, data.dropouts):
             assert not column.flags.writeable
         assert data.events.dtype == bool and data.dropouts.dtype == bool
-        assert len(data) == 2 and data.has_dropout_flags
+        assert len(data) == 2 and data.dropouts is not None
 
     @given(
         st.lists(

@@ -214,12 +214,20 @@ class TestAnalyzeCommand:
         )
         assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_NUMERICAL
 
-    def test_random_km_needs_dropout_column(self, tmp_path):
+    def test_random_km_reads_no_dropout_column(self, tmp_path):
         cfg_text = ANALYZE_YAML.replace("weight_policy: fixed\nfixed_weight: 0.1923\n",
                                         "weight_policy: random_km\n")
         cfg = put(tmp_path, "analyze.yaml", cfg_text)
-        data = put(tmp_path, "trial.csv", SUBJECT_CSV)
-        assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_USAGE
+        flagged = "entry_time,time_on_study,event,dropout\n0.5,7.5,1,0\n3.5,4.5,1,0\n1.0,6.0,0,1\n"
+        results = []
+        for name, text in (("bare.csv", SUBJECT_CSV), ("flagged.csv", flagged)):
+            out = str(tmp_path / f"{name}.json")
+            data = put(tmp_path, name, text)
+            assert main(["analyze", "--config", cfg, "--data", data, "--out", out]) == EXIT_OK
+            results.append(read_json(out)["results"])
+        bare, with_flags = results
+        assert not bare["weight_fallback"]
+        assert (bare["weight"], bare["statistic"]) == (with_flags["weight"], with_flags["statistic"])
 
     def test_random_km_fallback_warns(self, tmp_path, capsys):
         cfg_text = ANALYZE_YAML.replace("weight_policy: fixed\nfixed_weight: 0.1923\n",
@@ -450,7 +458,7 @@ class TestSubjectCsvHelpers:
         write_subject_csv(path, data)
         again = read_subject_csv(path, 2.0)
         assert_same_columns(again, data)
-        assert again.has_dropout_flags
+        assert again.dropouts is not None
 
     def test_line_numbers_survive_helper(self, tmp_path):
         path = put(tmp_path, "bad.csv", SUBJECT_CSV.replace("3.5,4.5,1", "3.5,9.0,1"))

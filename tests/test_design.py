@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from singlearm import design
 from singlearm.design import (
     DesignSpec,
     WeightPolicy,
@@ -37,6 +38,7 @@ from singlearm.models import (
     dropout_from_yearly_rate,
     hazard_ratio_alternative,
 )
+from singlearm.numerics import integrate
 from reference_values import CASE_STUDY, CASE_STUDY_WEIGHT
 
 BENCHMARK_CENSORING = CensoringModel(UniformAccrual(3.0), NoDropout(), 4.0)
@@ -108,6 +110,12 @@ class TestWeightPolicy:
     def test_uncorrelated_alt_needs_alternative(self):
         with pytest.raises(PolicyError):
             resolve_weight(WeightPolicy.uncorrelated_alt(), Weibull(1.0, 1.0), None, BENCHMARK_CENSORING)
+
+    @pytest.mark.parametrize("kind", ["uncorrelated_null", "combined", "uncorrelated_alt"])
+    def test_censoring_dependent_kinds_need_censoring(self, kind):
+        null = Weibull(1.0, 1.0)
+        with pytest.raises(PolicyError, match="censoring"):
+            resolve_weight(WeightPolicy(kind), null, hazard_ratio_alternative(null, 1.5), None)
 
 
 class TestMoments:
@@ -200,6 +208,21 @@ class TestSampleSize:
         assert unc.weight_used == pytest.approx(CASE_STUDY_WEIGHT, abs=1e-3)
         assert unc.achieved_power >= 0.8
         assert unc.analysis_time == 8.0
+
+    def test_uncorrelated_alt_integrates_the_moments_once(self, monkeypatch):
+        # its weight comes from the moments every design integrates anyway,
+        # so it costs no quadrature beyond a fixed-weight design's
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(design, "integrate", counting_integrate)
+        sample_size(case_study_spec(WeightPolicy.compensator()))
+        fixed_calls = len(calls)
+        sample_size(case_study_spec(WeightPolicy.uncorrelated_alt()))
+        assert len(calls) == 2 * fixed_calls
 
     def test_benchmark_anchor_cell(self):
         expected = {"compensator": 29, "counting": 18, "wu": 24, "uncorrelated_null": 22}

@@ -1,10 +1,12 @@
 """Monte Carlo engine: determinism, shared datasets, and tallies."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from singlearm import simulate
 from singlearm.design import DesignSpec, WeightPolicy, expected_event_rate, sample_size
 from singlearm.errors import DomainError
 from singlearm.models import (
@@ -49,8 +51,7 @@ class TestDrawTrial:
         arrays = draw_trial(Exponential(1.0), cens, rng, reps=50, n=7)
         assert arrays.entry.shape == (50, 7)
         assert arrays.time_on_study.shape == (50, 7)
-        assert arrays.event.dtype == bool and arrays.dropout.dtype == bool
-        assert not np.any(arrays.event & arrays.dropout)
+        assert arrays.event.dtype == bool
         horizon = 2.0 - arrays.entry
         assert np.all(arrays.time_on_study <= horizon + 1e-12)
         assert np.all(arrays.entry >= 0.0) and np.all(arrays.entry <= 1.0)
@@ -64,10 +65,13 @@ class TestDrawTrial:
         se = math.sqrt(expected * (1.0 - expected) / arrays.event.size)
         assert abs(rate - expected) < 4.0 * se
 
-    def test_no_dropout_never_flags(self):
+    def test_no_dropout_censors_at_the_horizon(self):
         rng = np.random.default_rng(1)
         arrays = draw_trial(Exponential(1.0), CENSORING, rng, reps=20, n=10)
-        assert not np.any(arrays.dropout)
+        censored = ~arrays.event
+        horizon = CENSORING.analysis_time - arrays.entry
+        assert np.any(censored)
+        assert np.array_equal(arrays.time_on_study[censored], horizon[censored])
 
 
 class TestRunScenarioDeterminism:
@@ -81,6 +85,31 @@ class TestRunScenarioDeterminism:
         # Enough replications for several blocks, so the partition matters.
         spec = make_spec(n=600, replications=8_000, policies=(WeightPolicy.wu(),))
         assert run_scenario(spec, workers=1) == run_scenario(spec, workers=2)
+
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
+        # a stub pool records its size and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, arg_tuples):
+                return [func(*args) for args in arg_tuples]
+
+        spec = make_spec(replications=100, policies=(WeightPolicy.wu(),))
+        monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 10)
+        serial = run_scenario(spec)
+        monkeypatch.setattr(simulate, "multiprocessing", types.SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert run_scenario(spec, workers=1000) == serial
+        assert sizes == [3]
 
     def test_shared_datasets_across_policies(self):
         # wu and fixed(0.5) are the same weight, so on shared datasets the
