@@ -79,30 +79,19 @@ _CSV_HEADER = ("entry_time", "time_on_study", "event")
 _CSV_HEADER_DROPOUT = _CSV_HEADER + ("dropout",)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(kw_only=True)
 class ReportEnvelope:
-    """Structured result of one command invocation."""
+    """Structured result of one command invocation; a written report lists
+    the fields in this order."""
 
     tool: str
     version: str
     command: str
     timestamp: str
     config: dict
+    data_path: str | None = None
     results: dict
     warnings: list[str]
-    data_path: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "timestamp": self.timestamp,
-            "config": self.config,
-            "data_path": self.data_path,
-            "results": self.results,
-            "warnings": list(self.warnings),
-        }
 
 
 def _envelope(command: str, config: dict, results: dict, warnings: list[str], data_path=None) -> ReportEnvelope:
@@ -283,6 +272,9 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
             raise ConfigError(f"missing required config key for {command}: {name!r}")
         elif key.default is not None:
             out[name] = key.default
+    # design and the table presets both plan for this power
+    if "power" in out and not 0.0 < out["power"] < 1.0:
+        raise ConfigError("power must lie in (0, 1)")
     return out
 
 
@@ -462,9 +454,6 @@ def cmd_design(config: dict) -> ReportEnvelope:
     alternative = None
     if cfg.get("alt_family") is not None:
         alternative = _survival_from(cfg, "alt")
-    power_target = cfg["power"]
-    if not 0.0 < power_target < 1.0:
-        raise ConfigError("power must lie in (0, 1)")
     spec = DesignSpec(
         null_model=null,
         follow_up=cfg["follow_up"],
@@ -476,7 +465,7 @@ def cmd_design(config: dict) -> ReportEnvelope:
         accrual_exponent=cfg["accrual_exponent"],
         dropout=_dropout_from(cfg),
         alpha=cfg["alpha"],
-        beta=1.0 - power_target,
+        beta=1.0 - cfg["power"],
         sample_size_cap=cfg["sample_size_cap"],
         max_accrual_length=cfg["max_accrual_length"],
     )
@@ -637,7 +626,7 @@ def _write_output(env: ReportEnvelope, out_path: str) -> None:
             writer.writerows(rows)
         return
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(env.to_dict()), fh, indent=2, allow_nan=False)
+        json.dump(_jsonify(env), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -7,8 +7,10 @@ size of a weight sweep), and aggregation is plain integer counting. Both
 choices are what make a run's results bit-identical no matter how the
 blocks are distributed over worker processes.
 
-One block kernel, ``_run_blocks``, serves scenarios, sweeps and tables:
-within one replication every weight sees the same dataset (common random
+Each public function lists its runs (a scenario with resolved weights and
+a stream base) and makes one kernel call, ``_tally``, which deals every
+(run, block) unit to this process or to at most one process pool. Within
+one replication every weight of a run sees the same dataset (common random
 numbers), so weights differ only through the variance denominator of the
 standardized statistic.
 """
@@ -20,7 +22,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .design import (
     WeightPolicy,
     resolve_weight,
     sample_size,
-    weight_uncorrelated_null,
 )
 from .errors import DomainError
 from .models import (
@@ -170,72 +171,69 @@ class SimulationReport:
 _K_TWO, _K_LEFT, _K_RIGHT, _K_IND, _K_FB = range(5)
 
 
-def _run_blocks(
-    spec: ScenarioSpec,
-    weights: tuple[float | None, ...],
-    km_fallback: float | None,
-    stream_base: int,
-    block_indices: Iterable[int],
-) -> np.ndarray:
-    """Tally one set of blocks for every weight at once; returns an int64
-    array (weights, 5). A ``None`` weight is estimated per replication by
-    Kaplan-Meier, with ``km_fallback`` where the data carry no censoring
-    information. Block ``b`` draws from stream ``stream_base | b``."""
-    z_crit = normal_quantile(1.0 - spec.alpha / 2.0)
-    reps_per_block = _block_reps(spec.n)
-    km_rows = [j for j, w in enumerate(weights) if w is None]
-    w_col = np.array([0.0 if w is None else w for w in weights])[:, None]
-    counters = np.zeros((len(weights), 5), dtype=np.int64)
+class _Run(NamedTuple):
+    """A scenario with resolved weights. A ``None`` weight is estimated per
+    replication by Kaplan-Meier, with ``km_fallback`` where the data carry
+    no censoring information. Block ``b`` draws from stream
+    ``stream_base | b``."""
 
-    for b in block_indices:
-        reps_here = min(reps_per_block, spec.replications - b * reps_per_block)
-        rng = substream(spec.master_seed, stream_base | b)
-        arrays = draw_trial(spec.truth_model, spec.censoring, rng, reps_here, spec.n)
-        n_events = arrays.event.sum(axis=1)
-        a0 = np.asarray(spec.null_model.cum_hazard(arrays.time_on_study)).sum(axis=1)
+    spec: ScenarioSpec
+    weights: tuple[float | None, ...]
+    km_fallback: float | None = None
+    stream_base: int = 0
 
-        w = w_col
-        if km_rows:
-            w = np.repeat(w_col, reps_here, axis=1)
-            results = [
-                km_weight_from_arrays(times, events, spec.null_model, km_fallback)
-                for times, events in zip(arrays.time_on_study, arrays.event)
-            ]
-            w[km_rows] = [r.weight for r in results]
-            counters[km_rows, _K_FB] += sum(r.used_fallback for r in results)
-        variance = w * n_events + (1.0 - w) * a0
-        ok = variance > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = (n_events - a0) / np.sqrt(variance)
-        n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
-        n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
-        counters[:, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
-        counters[:, _K_LEFT] += n_left
-        counters[:, _K_RIGHT] += n_right
-        counters[:, _K_IND] += reps_here - np.count_nonzero(ok, axis=1)
+
+def _run_blocks(runs: Sequence[_Run], units: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Tally (run, block) units for every weight of their run at once; all
+    runs carry as many weights. Returns an int64 array (runs, weights, 5)."""
+    counters = np.zeros((len(runs), len(runs[0].weights) if runs else 0, 5), dtype=np.int64)
+    for k, run_units in itertools.groupby(units, key=lambda unit: unit[0]):
+        spec, weights, km_fallback, stream_base = runs[k]
+        z_crit = normal_quantile(1.0 - spec.alpha / 2.0)
+        reps_per_block = _block_reps(spec.n)
+        km_rows = [j for j, w in enumerate(weights) if w is None]
+        w_col = np.array([0.0 if w is None else w for w in weights])[:, None]
+        for _, b in run_units:
+            reps_here = min(reps_per_block, spec.replications - b * reps_per_block)
+            rng = substream(spec.master_seed, stream_base | b)
+            arrays = draw_trial(spec.truth_model, spec.censoring, rng, reps_here, spec.n)
+            n_events = arrays.event.sum(axis=1)
+            a0 = np.asarray(spec.null_model.cum_hazard(arrays.time_on_study)).sum(axis=1)
+            w = w_col
+            if km_rows:
+                w = np.repeat(w_col, reps_here, axis=1)
+                results = [
+                    km_weight_from_arrays(times, events, spec.null_model, km_fallback)
+                    for times, events in zip(arrays.time_on_study, arrays.event)
+                ]
+                w[km_rows] = [r.weight for r in results]
+                counters[k, km_rows, _K_FB] += sum(r.used_fallback for r in results)
+            variance = w * n_events + (1.0 - w) * a0
+            ok = variance > 0.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                z = (n_events - a0) / np.sqrt(variance)
+            n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
+            n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
+            counters[k, :, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
+            counters[k, :, _K_LEFT] += n_left
+            counters[k, :, _K_RIGHT] += n_right
+            counters[k, :, _K_IND] += reps_here - np.count_nonzero(ok, axis=1)
     return counters
 
 
-def _tally(
-    spec: ScenarioSpec, weights: tuple[float | None, ...], workers: int, stream_base: int = 0
-) -> np.ndarray:
-    """Counters of ``_run_blocks`` over all of the scenario's blocks, run in
-    this process or dealt round-robin to a process pool of at most one
+def _tally(runs: Sequence[_Run], workers: int) -> np.ndarray:
+    """Counters of ``_run_blocks`` over every block of every run, tallied in
+    this process or dealt round-robin to one process pool of at most one
     process per block and per CPU; integer sums make the result the same
     either way."""
-    km_fallback = (
-        weight_uncorrelated_null(spec.null_model, spec.censoring) if None in weights else None
-    )
-    n_blocks = math.ceil(spec.replications / _block_reps(spec.n))
-    workers = min(workers, n_blocks, os.cpu_count() or 1)
+    blocks = [math.ceil(run.spec.replications / _block_reps(run.spec.n)) for run in runs]
+    units = [(k, b) for k, n_blocks in enumerate(blocks) for b in range(n_blocks)]
+    workers = min(workers, len(units), os.cpu_count() or 1)
     if workers <= 1:
-        return _run_blocks(spec, weights, km_fallback, stream_base, range(n_blocks))
-    parts = [range(k, n_blocks, workers) for k in range(workers)]
+        return _run_blocks(runs, units)
     with multiprocessing.Pool(workers) as pool:
-        results = pool.starmap(
-            _run_blocks, [(spec, weights, km_fallback, stream_base, part) for part in parts]
-        )
-    return np.sum(results, axis=0)
+        parts = pool.starmap(_run_blocks, [(runs, units[k::workers]) for k in range(workers)])
+    return np.sum(parts, axis=0)
 
 
 def _rate_and_se(count: int, determinate: int) -> tuple[float, float]:
@@ -251,14 +249,17 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> SimulationReport:
     The report is a deterministic function of ``spec`` alone: the worker
     count only changes which process handles which block.
     """
-    weights = tuple(
-        None if p.kind == "random_km"
-        else resolve_weight(p, spec.null_model, spec.planning_alternative, spec.censoring)
-        for p in spec.policies
-    )
-    counters = _tally(spec, weights, workers)
+    # each distinct planning weight is solved once; random_km stays None and
+    # falls back to the uncorrelated_null weight
+    fallback = WeightPolicy.uncorrelated_null()
+    solved = {
+        p: resolve_weight(p, spec.null_model, spec.planning_alternative, spec.censoring)
+        for p in dict.fromkeys(fallback if p.kind == "random_km" else p for p in spec.policies)
+    }
+    weights = tuple(solved.get(p) for p in spec.policies)
+    run = _Run(spec=spec, weights=weights, km_fallback=solved.get(fallback))
     outcomes = []
-    for policy, w, row in zip(spec.policies, weights, counters.tolist()):
+    for policy, w, row in zip(spec.policies, weights, _tally([run], workers)[0].tolist()):
         k_two, k_left, k_right, k_ind, k_fb = row
         determinate = spec.replications - k_ind
         rate_two, se_two = _rate_and_se(k_two, determinate)
@@ -322,18 +323,20 @@ def weight_sweep(
     if w_arr.size == 0 or np.any(~((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise DomainError("sweep weights must lie in [0, 1]")
     grid = tuple(w_arr.tolist())
-    cells: list[SweepCell] = []
+    runs = []
     for n_index, n in enumerate(sample_sizes):
         if n < 1:
             raise DomainError("sample sizes must be positive")
         # distinct sample sizes use disjoint stream indices under one seed
-        counters = _tally(replace(base, n=int(n)), grid, workers, stream_base=n_index << 32)
-        for w, row in zip(grid, counters.tolist()):
+        runs.append(_Run(spec=replace(base, n=int(n)), weights=grid, stream_base=n_index << 32))
+    cells = []
+    for run, rows in zip(runs, _tally(runs, workers).tolist()):
+        for w, row in zip(grid, rows):
             determinate = base.replications - row[_K_IND]
             rate, se = _rate_and_se(row[_K_LEFT], determinate)
             cells.append(
                 SweepCell(
-                    n=int(n),
+                    n=run.spec.n,
                     weight=w,
                     replications=base.replications,
                     determinate=determinate,
@@ -383,18 +386,20 @@ def scenario_table(
 ) -> tuple[TableCell, ...]:
     """Design each grid cell per policy, then estimate its error and power.
 
-    Every policy is simulated at its own designed sample size, under the
-    reference law for the type I error and under the alternative for power.
-    The cell's policy with the left-tail error closest to the nominal
-    alpha/2 is flagged ``best_alpha``.
+    Every policy is simulated at its own designed sample size and weight,
+    under the reference law for the type I error and under the alternative
+    for power; run k (in that order) is seeded ``master_seed + k``. The
+    cell's policy with the left-tail error closest to the nominal alpha/2
+    is flagged ``best_alpha``.
     """
+    if not policies:
+        raise DomainError("scenario table needs at least one weight policy")
     censoring = CensoringModel(UniformAccrual(accrual_length), dropout, accrual_length + follow_up)
-    cells: list[TableCell] = []
-    run_index = 0
+    designed = []
+    runs = []
     for shape, median, delta in itertools.product(shapes, medians, hazard_ratios):
         null = Weibull(shape, median)
         alternative = hazard_ratio_alternative(null, delta)
-        cell_rows: list[TableCell] = []
         for policy in policies:
             design = sample_size(
                 DesignSpec(
@@ -408,8 +413,7 @@ def scenario_table(
                     beta=beta,
                 )
             )
-            # the null run for the type I error, then the power run
-            outcomes = []
+            designed.append((shape, median, delta, design))
             for truth in (null, alternative) if include_power else (null,):
                 spec = ScenarioSpec(
                     truth_model=truth,
@@ -418,32 +422,39 @@ def scenario_table(
                     n=design.n,
                     policies=(policy,),
                     replications=replications,
-                    master_seed=master_seed + run_index,
+                    master_seed=master_seed + len(runs),
                     alpha=alpha,
-                    planning_alternative=alternative,
                 )
-                outcomes.append(run_scenario(spec, workers=workers).policies[0])
-                run_index += 1
-            outcome, *alt = outcomes
-            cell_rows.append(
-                TableCell(
-                    shape=shape,
-                    median=median,
-                    hazard_ratio=delta,
-                    policy_label=policy.label,
-                    n=design.n,
-                    weight=design.weight_used,
-                    alpha_left=outcome.rate_left,
-                    alpha_left_se=outcome.se_left,
-                    indeterminate_null=outcome.indeterminate,
-                    best_alpha=False,
-                    power=alt[0].rate_left if alt else None,
-                    power_se=alt[0].se_left if alt else None,
-                    indeterminate_alt=alt[0].indeterminate if alt else None,
-                )
+                runs.append(_Run(spec=spec, weights=(design.weight_used,)))
+    # each run tallies one weight; a design's null run precedes its power run
+    tallies = iter(_tally(runs, workers).reshape(-1, 5).tolist())
+    cells: list[TableCell] = []
+    for shape, median, delta, design in designed:
+        null_row = next(tallies)
+        alt_row = next(tallies) if include_power else None
+        alpha_left, alpha_left_se = _rate_and_se(null_row[_K_LEFT], replications - null_row[_K_IND])
+        power = power_se = None
+        if alt_row is not None:
+            power, power_se = _rate_and_se(alt_row[_K_LEFT], replications - alt_row[_K_IND])
+        cells.append(
+            TableCell(
+                shape=shape,
+                median=median,
+                hazard_ratio=delta,
+                policy_label=design.policy.label,
+                n=design.n,
+                weight=design.weight_used,
+                alpha_left=alpha_left,
+                alpha_left_se=alpha_left_se,
+                indeterminate_null=null_row[_K_IND],
+                best_alpha=False,
+                power=power,
+                power_se=power_se,
+                indeterminate_alt=None if alt_row is None else alt_row[_K_IND],
             )
-        nominal = alpha / 2.0
-        best = min(range(len(cell_rows)), key=lambda i: abs(cell_rows[i].alpha_left - nominal))
-        for i, row in enumerate(cell_rows):
-            cells.append(replace(row, best_alpha=(i == best)))
+        )
+    nominal = alpha / 2.0
+    for start in range(0, len(cells), len(policies)):
+        best = min(range(start, start + len(policies)), key=lambda i: abs(cells[i].alpha_left - nominal))
+        cells[best] = replace(cells[best], best_alpha=True)
     return tuple(cells)

@@ -103,6 +103,9 @@ class TestDesignCommand:
         assert report["config"]["alpha"] == 0.05
         assert report["config"]["power"] == 0.8
         assert "n: 106" in capsys.readouterr().out
+        assert list(report) == [
+            "tool", "version", "command", "timestamp", "config", "data_path", "results", "warnings",
+        ]
 
     def test_policy_changes_size(self, tmp_path):
         text = DESIGN_YAML.replace("uncorrelated_null", "compensator")
@@ -308,6 +311,20 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", cfg, "--replications", "20", "--workers", "1"])
         assert code == EXIT_USAGE
         assert f"unknown config key for {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("design", DESIGN_YAML + "power: 1.0\n"),
+            ("simulate", "preset: pbc\nseed: 1\npower: 1.0\n"),
+            ("simulate", "preset: table2\nseed: 1\npower: 0\n"),
+        ],
+        ids=["design", "pbc", "table2"],
+    )
+    def test_power_outside_the_unit_interval_rejected(self, tmp_path, capsys, command, text):
+        cfg = put(tmp_path, "run.yaml", text)
+        assert main([command, "--config", cfg]) == EXIT_USAGE
+        assert "power must lie in (0, 1)" in capsys.readouterr().err
 
     def test_preset_echo_holds_only_keys_it_reads(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", "preset: pbc\nreplications: 200\nseed: 5\n")

@@ -30,6 +30,28 @@ LOG_TWO = math.log(2.0)
 CENSORING = CensoringModel(UniformAccrual(3.0), NoDropout(), 4.0)
 
 
+def stub_pool(monkeypatch):
+    """Replace the process pool by one that records its size and maps
+    serially, so no process starts; returns the list of sizes."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, arg_tuples):
+            return [func(*args) for args in arg_tuples]
+
+    monkeypatch.setattr(simulate, "multiprocessing", types.SimpleNamespace(Pool=SerialPool))
+    return sizes
+
+
 def make_spec(**overrides):
     base = dict(
         truth_model=Exponential.from_median(2.0),
@@ -87,29 +109,22 @@ class TestRunScenarioDeterminism:
         assert run_scenario(spec, workers=1) == run_scenario(spec, workers=2)
 
     def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
-        # a stub pool records its size and maps serially, so no process starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, func, arg_tuples):
-                return [func(*args) for args in arg_tuples]
-
+        sizes = stub_pool(monkeypatch)
         spec = make_spec(replications=100, policies=(WeightPolicy.wu(),))
         monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 10)
         serial = run_scenario(spec)
-        monkeypatch.setattr(simulate, "multiprocessing", types.SimpleNamespace(Pool=SerialPool))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         assert run_scenario(spec, workers=1000) == serial
         assert sizes == [3]
+
+    def test_one_pool_per_table_and_per_sweep(self, monkeypatch):
+        sizes = stub_pool(monkeypatch)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        policies = (WeightPolicy.wu(), WeightPolicy.counting())
+        scenario_table((1.0,), (2.0,), (2.0,), policies, replications=200, workers=2)
+        assert sizes == [2]
+        weight_sweep(make_spec(replications=200), (0.0, 1.0), (40, 80), workers=2)
+        assert sizes == [2, 2]
 
     def test_shared_datasets_across_policies(self):
         # wu and fixed(0.5) are the same weight, so on shared datasets the
@@ -301,6 +316,10 @@ class TestScenarioTable:
         assert cell.indeterminate_alt is None
         assert 0.0 <= cell.alpha_left <= 0.2
 
+    def test_empty_policy_list_rejected(self):
+        with pytest.raises(DomainError):
+            scenario_table((1.0,), (2.0,), (2.0,), (), replications=100)
+
     def test_deterministic(self):
         kwargs = dict(replications=600, master_seed=11, include_power=False)
         a = scenario_table((1.0,), (1.0,), (1.5,), (WeightPolicy.wu(),), **kwargs)
@@ -322,6 +341,12 @@ class TestGoldenTallies:
         ("random_km", 20_000, 0, 16, 938, 176, 762),
         ("uncorrelated_null", 20_000, 0, 0, 746, 132, 614),
         ("fixed(0.3)", 20_000, 0, 0, 781, 284, 497),
+    )
+    # label, n, null indeterminate, null left rejections, power indeterminate,
+    # power left rejections, best_alpha
+    TABLE = (
+        ("uncorrelated_null", 113, 0, 484, 0, 15977, True),
+        ("counting", 92, 0, 757, 0, 15624, False),
     )
     # n, weight, determinate, indeterminate, left rejections
     SWEEP = (
@@ -376,3 +401,25 @@ class TestGoldenTallies:
         cells = weight_sweep(base, (0.0, 0.5, 1.0), (3, 2000), workers=workers)
         got = tuple((c.n, c.weight, c.determinate, c.indeterminate, c.rejections_left) for c in cells)
         assert got == self.SWEEP
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_counters(self, workers):
+        replications = 20_000  # three blocks per run
+        cells = scenario_table(
+            (0.5,),
+            (2.0,),
+            (1.5,),
+            (WeightPolicy.uncorrelated_null(), WeightPolicy.counting()),
+            dropout=dropout_from_yearly_rate(0.1),
+            replications=replications,
+            master_seed=314,
+            workers=workers,
+        )
+        got = tuple(
+            (c.policy_label, c.n, c.indeterminate_null,
+             round(c.alpha_left * (replications - c.indeterminate_null)),
+             c.indeterminate_alt, round(c.power * (replications - c.indeterminate_alt)), c.best_alpha)
+            for c in cells
+        )
+        assert got == self.TABLE
+        assert cells[0].weight == pytest.approx(0.32084, abs=1e-5) and cells[1].weight == 1.0
