@@ -178,39 +178,33 @@ def km_weight_from_arrays(
     no subject is censored (every subject had an event) or all jump mass
     sits where F_0 vanishes, the planning fallback weight is returned
     instead and flagged.
+
+    The simulation kernel calls this once per replication, so it is written
+    for few numpy calls at small n. Tied times share one risk set and one
+    jump, so the order of subjects inside a tie never reaches the result.
     """
     x = np.asarray(times_on_study, dtype=float)
     u_event = ~np.asarray(events, dtype=bool)
-
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    es = u_event[order]
-    n = xs.size
-
     fallback = 0.5 if fallback_weight is None else float(fallback_weight)
-    if not np.any(es):
+    if not u_event.any():
         return RandomWeightResult(fallback, True)
 
-    # Kaplan-Meier over distinct times; ties at one time share the risk set
-    t_uniq, first = np.unique(xs, return_index=True)
-    at_risk = n - first
-    deaths = np.add.reduceat(es.astype(np.int64), first)
-    frac = deaths / at_risk
-    surv_after = np.cumprod(1.0 - frac)
-    surv_before = np.concatenate(([1.0], surv_after[:-1]))
-    jump = surv_before * frac
+    order = x.argsort()
+    xs = x[order]
+    # Kaplan-Meier over distinct times: groups start where the sorted time changes
+    first = np.concatenate(([0], (xs[1:] != xs[:-1]).nonzero()[0] + 1))
+    deaths = np.add.reduceat(u_event[order], first, dtype=np.int64)
+    frac = deaths / (xs.size - first)
+    surv_before = np.concatenate(([1.0], (1.0 - frac).cumprod()[:-1]))
 
     keep = deaths > 0
-    tj = t_uniq[keep]
-    dj = jump[keep]
-
-    lam0 = np.asarray(null.cum_hazard(tj), dtype=float)
+    dj = (surv_before * frac)[keep]
+    lam0 = np.asarray(null.cum_hazard(xs[first[keep]]), dtype=float)
     s0 = np.exp(-lam0)
-    f0 = 1.0 - s0
-    den = float(np.sum(f0 * dj))
+    den = float(((1.0 - s0) * dj).sum())
     if den <= 0.0:
         return RandomWeightResult(fallback, True)
-    num = float(np.sum(s0 * lam0 * dj))
+    num = float((s0 * lam0 * dj).sum())
     return RandomWeightResult(1.0 - num / den, False)
 
 

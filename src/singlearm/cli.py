@@ -451,9 +451,7 @@ def cmd_design(config: dict) -> ReportEnvelope:
     """Size a trial from planning assumptions."""
     cfg = _validate_config(config, _DESIGN_SCHEMA, "design")
     null = _survival_from(cfg, "null")
-    alternative = None
-    if cfg.get("alt_family") is not None:
-        alternative = _survival_from(cfg, "alt")
+    alternative = _survival_from(cfg, "alt") if cfg.get("alt_family") is not None else None
     spec = DesignSpec(
         null_model=null,
         follow_up=cfg["follow_up"],
@@ -469,10 +467,7 @@ def cmd_design(config: dict) -> ReportEnvelope:
         sample_size_cap=cfg["sample_size_cap"],
         max_accrual_length=cfg["max_accrual_length"],
     )
-    if spec.accrual_length is not None:
-        result = sample_size(spec)
-    else:
-        result = solve_accrual_length(spec)
+    result = sample_size(spec) if spec.accrual_length is not None else solve_accrual_length(spec)
     advice = suggest_policy(result.expected_event_rate_null)
     payload = {
         "n": result.n,
@@ -530,9 +525,8 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
         _dropout_from(cfg),
         cfg["accrual_length"] + cfg["follow_up"],
     )
-    planning_alt = None
-    if cfg.get("hazard_ratio") is not None:
-        planning_alt = hazard_ratio_alternative(null, cfg["hazard_ratio"])
+    hazard_ratio = cfg.get("hazard_ratio")
+    planning_alt = hazard_ratio_alternative(null, hazard_ratio) if hazard_ratio is not None else None
     report = run_scenario(
         ScenarioSpec(
             truth_model=truth,

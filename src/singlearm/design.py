@@ -314,13 +314,18 @@ def weight_uncorrelated_null(null: SurvivalModel, censoring: CensoringModel) -> 
 
         w0(t) = int S_U f_null Lambda_null / int S_U f_null.
     """
+    return _null_weight_and_rate(null, censoring)[0]
+
+
+def _null_weight_and_rate(null: SurvivalModel, censoring: CensoringModel) -> tuple[float, float]:
+    """w0(t) and its denominator, the reference law's expected event rate."""
     den = _over_cum_hazard(null, censoring, _events)
     if den <= 0.0:
         raise DegenerateDesignError(
             "event probability under the reference law is zero by the analysis time"
         )
     num = _over_cum_hazard(null, censoring, lambda su, s, u: su * u * math.exp(-u))
-    return num / den
+    return num / den, den
 
 
 def weight_uncorrelated_alt(
@@ -399,14 +404,19 @@ def _ceil_with_slack(x: float) -> int:
 
 
 def _design_pieces(spec: DesignSpec, accrual_length: float):
+    """Censoring, moments, weight, and the reference event rate if the
+    weight has integrated it (None otherwise)."""
     censoring = spec.censoring_at(accrual_length)
     alternative = spec.resolved_alternative()
     mom = moments(spec.null_model, alternative, censoring)
-    if spec.weight_policy.kind == "uncorrelated_alt":  # resolve_weight would integrate mom again
-        w = mom.w1
-    else:
-        w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
-    return censoring, mom, w
+    kind = spec.weight_policy.kind
+    if kind == "uncorrelated_alt":  # resolve_weight would integrate mom again
+        return censoring, mom, mom.w1, None
+    if kind in ("uncorrelated_null", "combined"):  # w0's denominator is the event rate
+        w0, rate_null = _null_weight_and_rate(spec.null_model, censoring)
+        return censoring, mom, (w0 if kind == "uncorrelated_null" else min(w0, 0.5)), rate_null
+    w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
+    return censoring, mom, w, None
 
 
 def _build_result(
@@ -416,12 +426,14 @@ def _build_result(
     censoring: CensoringModel,
     mom: MomentSet,
     w: float,
+    rate_null: float | None,
 ) -> DesignResult:
     if n > spec.sample_size_cap:
         raise CapExceededError(
             f"required sample size {n} exceeds the cap of {spec.sample_size_cap}"
         )
-    rate_null = expected_event_rate(spec.null_model, censoring)
+    if rate_null is None:
+        rate_null = expected_event_rate(spec.null_model, censoring)
     return DesignResult(
         n=n,
         weight_used=w,
@@ -445,9 +457,9 @@ def sample_size(spec: DesignSpec) -> DesignResult:
         raise ConfigError(
             "sample_size needs accrual_length; use solve_accrual_length for accrual_rate designs"
         )
-    censoring, mom, w = _design_pieces(spec, spec.accrual_length)
+    censoring, mom, w, rate_null = _design_pieces(spec, spec.accrual_length)
     n = max(1, _ceil_with_slack(_required_n(mom, w, spec.alpha, spec.beta)))
-    return _build_result(spec, spec.accrual_length, n, censoring, mom, w)
+    return _build_result(spec, spec.accrual_length, n, censoring, mom, w, rate_null)
 
 
 def solve_accrual_length(spec: DesignSpec) -> DesignResult:
@@ -463,7 +475,7 @@ def solve_accrual_length(spec: DesignSpec) -> DesignResult:
 
     def gap(a: float) -> float:
         try:
-            _, mom, w = _design_pieces(spec, a)
+            _, mom, w, _ = _design_pieces(spec, a)
             required = _required_n(mom, w, spec.alpha, spec.beta)
         except InfeasibleDesignError:
             # no detectable effect at this horizon: treat as unbounded demand
@@ -483,9 +495,9 @@ def solve_accrual_length(spec: DesignSpec) -> DesignResult:
         if lo < 1e-9:
             raise InfeasibleDesignError("supply exceeds demand even for vanishing accrual windows")
     solved = find_root(gap, lo, hi, _ACCRUAL_ROOT)
-    censoring, mom, w = _design_pieces(spec, solved)
+    censoring, mom, w, rate_null = _design_pieces(spec, solved)
     n = max(1, _ceil_with_slack(r * solved))
-    return _build_result(spec, solved, n, censoring, mom, w)
+    return _build_result(spec, solved, n, censoring, mom, w, rate_null)
 
 
 def power(spec: DesignSpec, n: int) -> float:
@@ -494,7 +506,7 @@ def power(spec: DesignSpec, n: int) -> float:
         raise DomainError("sample size must be at least 1")
     if spec.accrual_length is None:
         raise ConfigError("power needs a spec with a fixed accrual_length")
-    _, mom, w = _design_pieces(spec, spec.accrual_length)
+    _, mom, w, _ = _design_pieces(spec, spec.accrual_length)
     return _power_at(mom, w, n, spec.alpha)
 
 

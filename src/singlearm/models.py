@@ -87,15 +87,15 @@ class Weibull(SurvivalModel):
             raise DomainError("Weibull shape and median must be positive")
 
     def cum_hazard(self, s):
-        scaled = np.clip(np.asarray(s, dtype=float), 0.0, None) / self.median
+        scaled = np.maximum(np.asarray(s, dtype=float), 0.0) / self.median
         return _match(s, LOG_TWO * scaled**self.shape)
 
     def inverse_cum_hazard(self, u):
-        scaled = np.clip(np.asarray(u, dtype=float), 0.0, None) / LOG_TWO
+        scaled = np.maximum(np.asarray(u, dtype=float), 0.0) / LOG_TWO
         return _match(u, self.median * scaled ** (1.0 / self.shape))
 
     def hazard(self, s):
-        scaled = np.clip(np.asarray(s, dtype=float), 0.0, None) / self.median
+        scaled = np.maximum(np.asarray(s, dtype=float), 0.0) / self.median
         with np.errstate(divide="ignore"):
             out = (LOG_TWO * self.shape / self.median) * scaled ** (self.shape - 1.0)
         return _match(s, out)
@@ -122,10 +122,10 @@ class Exponential(SurvivalModel):
         return LOG_TWO / self.rate
 
     def cum_hazard(self, s):
-        return _match(s, self.rate * np.clip(np.asarray(s, dtype=float), 0.0, None))
+        return _match(s, self.rate * np.maximum(np.asarray(s, dtype=float), 0.0))
 
     def inverse_cum_hazard(self, u):
-        return _match(u, np.clip(np.asarray(u, dtype=float), 0.0, None) / self.rate)
+        return _match(u, np.maximum(np.asarray(u, dtype=float), 0.0) / self.rate)
 
     def hazard(self, s):
         return _match(s, np.full_like(np.asarray(s, dtype=float), self.rate))
@@ -168,17 +168,17 @@ class PiecewiseExponential(SurvivalModel):
         return np.clip(np.searchsorted(self._knots, s, side="right") - 1, 0, len(self.rates) - 1)
 
     def cum_hazard(self, s):
-        arr = np.clip(np.asarray(s, dtype=float), 0.0, None)
+        arr = np.maximum(np.asarray(s, dtype=float), 0.0)
         i = self._segment(arr)
         return _match(s, self._cum_at_knots[i] + self._rates[i] * (arr - self._knots[i]))
 
     def inverse_cum_hazard(self, u):
-        arr = np.clip(np.asarray(u, dtype=float), 0.0, None)
+        arr = np.maximum(np.asarray(u, dtype=float), 0.0)
         i = np.clip(np.searchsorted(self._cum_at_knots, arr, side="right") - 1, 0, len(self.rates) - 1)
         return _match(u, self._knots[i] + (arr - self._cum_at_knots[i]) / self._rates[i])
 
     def hazard(self, s):
-        arr = np.clip(np.asarray(s, dtype=float), 0.0, None)
+        arr = np.maximum(np.asarray(s, dtype=float), 0.0)
         return _match(s, self._rates[self._segment(arr)])
 
 
@@ -306,7 +306,7 @@ class ExponentialDropout(DropoutModel):
         return cls(-math.log1p(-rate))
 
     def survival(self, s):
-        return _match(s, np.exp(-self.hazard * np.clip(np.asarray(s, dtype=float), 0.0, None)))
+        return _match(s, np.exp(-self.hazard * np.maximum(np.asarray(s, dtype=float), 0.0)))
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.standard_exponential(size) / self.hazard
@@ -338,7 +338,7 @@ class CensoringModel:
 
     def survival_u(self, s):
         arr = np.asarray(s, dtype=float)
-        residual = np.clip(self.analysis_time - arr, 0.0, None)
+        residual = np.maximum(self.analysis_time - arr, 0.0)
         return _match(s, np.asarray(self.dropout.survival(arr)) * np.asarray(self.accrual.cdf(residual)))
 
     @property

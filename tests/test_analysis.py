@@ -23,6 +23,7 @@ from singlearm.models import (
     CensoringModel,
     Exponential,
     NoDropout,
+    PiecewiseExponential,
     UniformAccrual,
     Weibull,
     dropout_from_yearly_rate,
@@ -265,6 +266,84 @@ class TestRandomWeightKM:
         events = event_time <= np.minimum(drop_time, administrative)
         result = km_weight_from_arrays(x, events, null)
         assert result.weight == pytest.approx(weight_uncorrelated_null(null, cens), abs=0.01)
+
+
+def stable_unique_km_weight(times_on_study, events, null, fallback_weight=None):
+    """The Kaplan-Meier weight as first written, with a stable argsort and
+    ``np.unique``: the oracle that ``km_weight_from_arrays`` matches bit for
+    bit."""
+    x = np.asarray(times_on_study, dtype=float)
+    u_event = ~np.asarray(events, dtype=bool)
+
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    es = u_event[order]
+    n = xs.size
+
+    fallback = 0.5 if fallback_weight is None else float(fallback_weight)
+    if not np.any(es):
+        return (fallback, True)
+
+    t_uniq, first = np.unique(xs, return_index=True)
+    at_risk = n - first
+    deaths = np.add.reduceat(es.astype(np.int64), first)
+    frac = deaths / at_risk
+    surv_after = np.cumprod(1.0 - frac)
+    surv_before = np.concatenate(([1.0], surv_after[:-1]))
+    jump = surv_before * frac
+
+    keep = deaths > 0
+    tj = t_uniq[keep]
+    dj = jump[keep]
+
+    lam0 = np.asarray(null.cum_hazard(tj), dtype=float)
+    s0 = np.exp(-lam0)
+    f0 = 1.0 - s0
+    den = float(np.sum(f0 * dj))
+    if den <= 0.0:
+        return (fallback, True)
+    num = float(np.sum(s0 * lam0 * dj))
+    return (1.0 - num / den, False)
+
+
+KM_NULLS = (Weibull(1.22, 9.0), Exponential(0.7), PiecewiseExponential((0.5, 2.0), (0.4, 1.0, 2.5)))
+
+
+@st.composite
+def km_samples(draw):
+    """Times on a coarse grid (many ties) or continuous, arbitrary events."""
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        value = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0))
+    else:
+        value = st.floats(0.0, 20.0, allow_nan=False)
+    times = draw(st.lists(value, min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(times, dtype=float), np.array(events, dtype=bool)
+
+
+class TestKmWeightMatchesStableUniqueOracle:
+    @given(km_samples(), st.sampled_from(KM_NULLS), st.sampled_from((None, 0.3)))
+    def test_bit_identical(self, sample, null, fallback):
+        times, events = sample
+        expected = stable_unique_km_weight(times, events, null, fallback)
+        assert km_weight_from_arrays(times, events, null, fallback) == expected
+
+    @pytest.mark.parametrize(
+        "times, events",
+        [
+            ([0.2, 0.5, 0.5, 0.9], [True, True, True, True]),  # no U-observation
+            ([], []),
+            ([0.0, 0.0, 0.4, 1.2], [False, False, True, True]),  # U only at 0: den <= 0
+            ([0.7], [False]),
+            ([0.7], [True]),
+        ],
+    )
+    @pytest.mark.parametrize("null", KM_NULLS)
+    def test_fixed_cases(self, times, events, null):
+        times, events = np.array(times, dtype=float), np.array(events, dtype=bool)
+        expected = stable_unique_km_weight(times, events, null, 0.3)
+        assert km_weight_from_arrays(times, events, null, 0.3) == expected
 
 
 class TestConsistencyCheck:

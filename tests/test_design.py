@@ -224,6 +224,26 @@ class TestSampleSize:
         sample_size(case_study_spec(WeightPolicy.uncorrelated_alt()))
         assert len(calls) == 2 * fixed_calls
 
+    def test_null_weight_designs_reuse_its_denominator(self, monkeypatch):
+        # the uncorrelated_null weight's denominator is the reference event
+        # rate the result reports, so the weight costs one quadrature more
+        calls = []
+
+        def counting_integrate(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(design, "integrate", counting_integrate)
+        sample_size(case_study_spec(WeightPolicy.compensator()))
+        fixed_calls = len(calls)
+        for kind in ("uncorrelated_null", "combined"):
+            calls.clear()
+            spec = case_study_spec(WeightPolicy(kind))
+            result = sample_size(spec)
+            assert len(calls) == fixed_calls + 1, kind
+            censoring = spec.censoring_at(spec.accrual_length)
+            assert result.expected_event_rate_null == expected_event_rate(spec.null_model, censoring)
+
     def test_benchmark_anchor_cell(self):
         expected = {"compensator": 29, "counting": 18, "wu": 24, "uncorrelated_null": 22}
         for kind, n_expected in expected.items():

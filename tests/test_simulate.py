@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from singlearm import simulate
+from singlearm.analysis import km_weight_from_arrays
 from singlearm.design import DesignSpec, WeightPolicy, expected_event_rate, sample_size
 from singlearm.errors import DomainError
 from singlearm.models import (
@@ -215,6 +216,28 @@ class TestRunScenarioTallies:
         assert pol.weight is None
         assert pol.fallbacks < 500
         assert 0.0 < pol.rate_left < 0.2
+
+    def test_random_km_estimates_once_per_replication(self, monkeypatch):
+        # the per-call contract a traced benchmark run reads: one call per
+        # replication, on that replication's 1-D columns of length n
+        shapes = []
+
+        def counting_km(times, events, *args, **kwargs):
+            shapes.append((times.shape, events.shape))
+            return km_weight_from_arrays(times, events, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "km_weight_from_arrays", counting_km)
+        monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 40)
+        cens = CensoringModel(UniformAccrual(1.0), dropout_from_yearly_rate(0.1), 2.0)
+        spec = make_spec(
+            censoring=cens,
+            n=50,
+            replications=100,
+            policies=(WeightPolicy.uncorrelated_null(), WeightPolicy.random_km()),
+        )
+        assert math.ceil(spec.replications / simulate._block_reps(spec.n)) == 3
+        run_scenario(spec)
+        assert shapes == [((50,), (50,))] * 100
 
     def test_truth_equal_to_null_by_construction(self):
         null = Exponential.from_median(2.0)
