@@ -30,7 +30,7 @@ from .models import (
     Weibull,
 )
 from .numerics import find_root
-from .simulate import ScenarioSpec, TableCell, scenario_table, weight_sweep
+from .simulate import ScenarioSpec, TableCell, _weight_sweeps, scenario_table
 
 __all__ = [
     "BENCHMARK_SHAPES",
@@ -123,23 +123,29 @@ def pbc_design(policy: WeightPolicy) -> DesignSpec:
 
 def _run_figure1(*, seed: int, replications: int, alpha: float, workers: int = 1) -> list[dict]:
     """Weight sweep at every target event rate; the k-th rate is seeded
-    ``seed + k``. One row per (target rate, sample size, weight)."""
-    rows = []
+    ``seed + k``, and all rates are tallied in one kernel call. One row per
+    (target rate, sample size, weight)."""
+    bases = []
     for idx, target in enumerate(SWEEP_TARGET_RATES):
         truth = sweep_truth(target)
-        base = ScenarioSpec(
-            truth_model=truth,
-            null_model=truth,
-            censoring=sweep_censoring(),
-            n=SWEEP_SAMPLE_SIZES[0],
-            policies=(WeightPolicy.wu(),),
-            replications=replications,
-            master_seed=seed + idx,
-            alpha=alpha,
+        bases.append(
+            ScenarioSpec(
+                truth_model=truth,
+                null_model=truth,
+                censoring=sweep_censoring(),
+                n=SWEEP_SAMPLE_SIZES[0],
+                policies=(WeightPolicy.wu(),),
+                replications=replications,
+                master_seed=seed + idx,
+                alpha=alpha,
+            )
         )
-        for cell in weight_sweep(base, SWEEP_WEIGHTS, SWEEP_SAMPLE_SIZES, workers=workers):
-            rows.append({"target_event_rate": target, **cell._asdict()})
-    return rows
+    sweeps = _weight_sweeps(bases, SWEEP_WEIGHTS, SWEEP_SAMPLE_SIZES, workers)
+    return [
+        {"target_event_rate": target, **cell._asdict()}
+        for target, cells in zip(SWEEP_TARGET_RATES, sweeps)
+        for cell in cells
+    ]
 
 
 def _table_runner(shapes, medians, hazard_ratios, policies, **censoring):

@@ -9,10 +9,19 @@ blocks are distributed over worker processes.
 
 Each public function lists its runs (a scenario with resolved weights and
 a stream base) and makes one kernel call, ``_tally``, which deals every
-(run, block) unit to this process or to at most one process pool. Within
-one replication every weight of a run sees the same dataset (common random
-numbers), so weights differ only through the variance denominator of the
-standardized statistic.
+(run, block) unit to this process or to at most one process pool. A block
+is reduced to each replication's event count N and compensator A0 in row
+chunks that fit in cache. Where the null and true cumulative hazards have
+a constant ratio c (the truth is the null law, or a same-shape Weibull),
+the reduction works in the null law's cumulative-hazard coordinates: with
+E a subject's unit exponential and U its censoring time, H = c E is the
+null cumulative hazard at the event time, the event is H <= K = Lambda_0(U)
+and A0 sums min(H, K), so no event time is built. Other runs, and runs
+with a ``random_km`` weight, build the event and observed times as
+``draw_trial`` does. ``draw_trial`` is the subject-level oracle of the
+kernel. Within one replication every weight of a run sees the same
+dataset (common random numbers), so weights differ only through the
+variance denominator of the standardized statistic.
 """
 
 from __future__ import annotations
@@ -58,9 +67,14 @@ __all__ = [
     "scenario_table",
 ]
 
-# subjects simulated per block; the cap keeps per-block arrays cache-friendly
+# subjects per block. A block is the unit of stream keying, so these two
+# sizes are part of the reproducibility contract, not tuning knobs; the row
+# chunk below is the cache unit
 _BLOCK_ELEMENTS = 1 << 21
 _MAX_BLOCK_REPS = 8192
+# subjects reduced per step within a block (at least one row), so that every
+# temporary of a step stays in L2
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _block_reps(n: int) -> int:
@@ -75,6 +89,28 @@ class TrialArrays(NamedTuple):
     event: np.ndarray
 
 
+def _draw_subjects(
+    censoring: CensoringModel, rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray
+) -> np.ndarray:
+    """Fill ``uniform`` with the subjects' entry uniforms and ``unit`` with
+    their unit exponentials, then draw and return their dropout times.
+
+    The draw order (entry uniforms, then unit exponentials, then dropout)
+    is part of the reproducibility contract: it fixes how a stream's values
+    map to subjects. Entries and event times follow by inverse transform,
+    as ``censoring.accrual.quantile(uniform)`` and
+    ``truth.inverse_cum_hazard(unit)``.
+    """
+    rng.random(out=uniform)
+    rng.standard_exponential(out=unit)
+    return censoring.dropout.sample(rng, unit.shape)
+
+
+def _censor_time(censoring: CensoringModel, entry: np.ndarray, dropout: np.ndarray) -> np.ndarray:
+    """U = min(C, (t - Y)+): dropout or the end of the subject's follow-up."""
+    return np.minimum(dropout, np.maximum(censoring.analysis_time - entry, 0.0))
+
+
 def draw_trial(
     truth: SurvivalModel,
     censoring: CensoringModel,
@@ -84,19 +120,19 @@ def draw_trial(
 ) -> TrialArrays:
     """Sample ``reps`` independent trials of ``n`` subjects each.
 
-    The draw order (entries, then event times, then dropout) is part of the
-    reproducibility contract: it fixes how a stream's values map to
-    subjects.
+    This is the subject-level oracle of the Monte Carlo kernel: on the same
+    stream, the kernel's event counts are ``event.sum(axis=1)`` and its
+    compensators ``null.cum_hazard(time_on_study).sum(axis=1)``, exactly
+    for runs that build event times and up to rounding for runs reduced in
+    cumulative-hazard coordinates (where an event time within rounding of
+    its censoring time may count either way).
     """
-    shape = (reps, n)
-    entry = censoring.accrual.sample(rng, shape)
-    event_time = truth.inverse_cum_hazard(rng.standard_exponential(shape))
-    dropout_time = censoring.dropout.sample(rng, shape)
-    horizon = np.clip(censoring.analysis_time - entry, 0.0, None)
-    censor_time = np.minimum(dropout_time, horizon)
-    observed = np.minimum(event_time, censor_time)
-    event = event_time <= censor_time
-    return TrialArrays(entry, observed, event)
+    uniform, unit = np.empty((reps, n)), np.empty((reps, n))
+    dropout = _draw_subjects(censoring, rng, uniform, unit)
+    entry = censoring.accrual.quantile(uniform)
+    event_time = truth.inverse_cum_hazard(unit)
+    censor_time = _censor_time(censoring, entry, dropout)
+    return TrialArrays(entry, np.minimum(event_time, censor_time), event_time <= censor_time)
 
 
 @dataclass(frozen=True)
@@ -183,6 +219,47 @@ class _Run(NamedTuple):
     stream_base: int = 0
 
 
+def _null_hazard_ratio(null: SurvivalModel, truth: SurvivalModel) -> float | None:
+    """The constant Lambda_null / Lambda_truth when the truth is the null
+    law or a Weibull of the null's shape, else None."""
+    if truth == null:
+        return 1.0
+    if isinstance(null, Weibull) and isinstance(truth, Weibull) and null.shape == truth.shape:
+        return (truth.median / null.median) ** null.shape
+    return None
+
+
+def _reduce_block(
+    spec: ScenarioSpec, rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray, with_times: bool
+):
+    """Draw one block of ``spec`` into the buffers ``uniform`` and ``unit``
+    (one row per replication) and reduce it in row chunks.
+
+    Yields, per chunk, the event counts N and compensators A0 of its rows,
+    their event indicators and, when ``with_times``, their observed times.
+    With a constant ratio c = Lambda_null / Lambda_truth and no times
+    wanted, the event is H <= K and its A0 term is min(H, K), with H = c E
+    and K = Lambda_null(U) for the unit exponential E and censoring time U;
+    otherwise the chunk is reduced from the event and observed times.
+    """
+    null, truth, censoring = spec.null_model, spec.truth_model, spec.censoring
+    dropout = _draw_subjects(censoring, rng, uniform, unit)
+    ratio = None if with_times else _null_hazard_ratio(null, truth)
+    step = max(1, _CHUNK_ELEMENTS // spec.n)
+    for start in range(0, len(unit), step):
+        rows = slice(start, start + step)
+        censor = _censor_time(censoring, censoring.accrual.quantile(uniform[rows]), dropout[rows])
+        if ratio is None:
+            event_time = truth.inverse_cum_hazard(unit[rows])
+            event = event_time <= censor
+            times = np.minimum(event_time, censor)
+            yield event.sum(axis=1), null.cum_hazard(times).sum(axis=1), event, times
+        else:
+            null_event, null_censor = ratio * unit[rows], null.cum_hazard(censor)
+            event = null_event <= null_censor
+            yield event.sum(axis=1), np.minimum(null_event, null_censor).sum(axis=1), event, None
+
+
 def _run_blocks(runs: Sequence[_Run], units: Sequence[tuple[int, int]]) -> np.ndarray:
     """Tally (run, block) units for every weight of their run at once; all
     runs carry as many weights. Returns an int64 array (runs, weights, 5)."""
@@ -193,31 +270,35 @@ def _run_blocks(runs: Sequence[_Run], units: Sequence[tuple[int, int]]) -> np.nd
         reps_per_block = _block_reps(spec.n)
         km_rows = [j for j, w in enumerate(weights) if w is None]
         w_col = np.array([0.0 if w is None else w for w in weights])[:, None]
+        # draw buffers shared by the run's blocks: fresh block-sized arrays
+        # page-fault on every block, which made the pbc preset about 15%
+        # slower (BENCH_10.json, "ablation")
+        shape = (min(reps_per_block, spec.replications), spec.n)
+        uniform, unit = np.empty(shape), np.empty(shape)
         for _, b in run_units:
             reps_here = min(reps_per_block, spec.replications - b * reps_per_block)
             rng = substream(spec.master_seed, stream_base | b)
-            arrays = draw_trial(spec.truth_model, spec.censoring, rng, reps_here, spec.n)
-            n_events = arrays.event.sum(axis=1)
-            a0 = np.asarray(spec.null_model.cum_hazard(arrays.time_on_study)).sum(axis=1)
-            w = w_col
-            if km_rows:
-                w = np.repeat(w_col, reps_here, axis=1)
-                results = [
-                    km_weight_from_arrays(times, events, spec.null_model, km_fallback)
-                    for times, events in zip(arrays.time_on_study, arrays.event)
-                ]
-                w[km_rows] = [r.weight for r in results]
-                counters[k, km_rows, _K_FB] += sum(r.used_fallback for r in results)
-            variance = w * n_events + (1.0 - w) * a0
-            ok = variance > 0.0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                z = (n_events - a0) / np.sqrt(variance)
-            n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
-            n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
-            counters[k, :, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
-            counters[k, :, _K_LEFT] += n_left
-            counters[k, :, _K_RIGHT] += n_right
-            counters[k, :, _K_IND] += reps_here - np.count_nonzero(ok, axis=1)
+            chunks = _reduce_block(spec, rng, uniform[:reps_here], unit[:reps_here], bool(km_rows))
+            for n_events, a0, events, times in chunks:
+                w = w_col
+                if km_rows:
+                    w = np.repeat(w_col, len(a0), axis=1)
+                    results = [
+                        km_weight_from_arrays(t, e, spec.null_model, km_fallback)
+                        for t, e in zip(times, events)
+                    ]
+                    w[km_rows] = [r.weight for r in results]
+                    counters[k, km_rows, _K_FB] += sum(r.used_fallback for r in results)
+                variance = w * n_events + (1.0 - w) * a0
+                ok = variance > 0.0
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    z = (n_events - a0) / np.sqrt(variance)
+                n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
+                n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
+                counters[k, :, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
+                counters[k, :, _K_LEFT] += n_left
+                counters[k, :, _K_RIGHT] += n_right
+                counters[k, :, _K_IND] += len(a0) - np.count_nonzero(ok, axis=1)
     return counters
 
 
@@ -319,34 +400,51 @@ def weight_sweep(
     cell differs from its neighbors only through the variance denominator;
     ``base.n`` and ``base.policies`` are ignored in favor of the grid.
     """
+    return _weight_sweeps([base], weights, sample_sizes, workers)[0]
+
+
+def _weight_sweeps(
+    bases: Sequence[ScenarioSpec],
+    weights: Sequence[float],
+    sample_sizes: Sequence[int],
+    workers: int,
+) -> list[tuple[SweepCell, ...]]:
+    """``weight_sweep`` of every base scenario, all tallied in one kernel
+    call."""
     w_arr = np.asarray(list(weights), dtype=float)
     if w_arr.size == 0 or np.any(~((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise DomainError("sweep weights must lie in [0, 1]")
+    if any(n < 1 for n in sample_sizes):
+        raise DomainError("sample sizes must be positive")
     grid = tuple(w_arr.tolist())
-    runs = []
-    for n_index, n in enumerate(sample_sizes):
-        if n < 1:
-            raise DomainError("sample sizes must be positive")
-        # distinct sample sizes use disjoint stream indices under one seed
-        runs.append(_Run(spec=replace(base, n=int(n)), weights=grid, stream_base=n_index << 32))
-    cells = []
-    for run, rows in zip(runs, _tally(runs, workers).tolist()):
-        for w, row in zip(grid, rows):
-            determinate = base.replications - row[_K_IND]
-            rate, se = _rate_and_se(row[_K_LEFT], determinate)
-            cells.append(
-                SweepCell(
-                    n=run.spec.n,
-                    weight=w,
-                    replications=base.replications,
-                    determinate=determinate,
-                    indeterminate=row[_K_IND],
-                    rejections_left=row[_K_LEFT],
-                    rate_left=rate,
-                    se_left=se,
+    # distinct sample sizes use disjoint stream indices under one seed
+    runs = [
+        _Run(spec=replace(base, n=int(n)), weights=grid, stream_base=n_index << 32)
+        for base in bases
+        for n_index, n in enumerate(sample_sizes)
+    ]
+    counters = _tally(runs, workers).reshape(len(bases), len(sample_sizes), len(grid), 5)
+    sweeps = []
+    for base, base_rows in zip(bases, counters.tolist()):
+        cells = []
+        for n, n_rows in zip(sample_sizes, base_rows):
+            for w, row in zip(grid, n_rows):
+                determinate = base.replications - row[_K_IND]
+                rate, se = _rate_and_se(row[_K_LEFT], determinate)
+                cells.append(
+                    SweepCell(
+                        n=int(n),
+                        weight=w,
+                        replications=base.replications,
+                        determinate=determinate,
+                        indeterminate=row[_K_IND],
+                        rejections_left=row[_K_LEFT],
+                        rate_left=rate,
+                        se_left=se,
+                    )
                 )
-            )
-    return tuple(cells)
+        sweeps.append(tuple(cells))
+    return sweeps
 
 
 @dataclass(frozen=True)

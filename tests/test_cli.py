@@ -6,10 +6,12 @@ import itertools
 import json
 import math
 import textwrap
+import types
 
 import numpy as np
 import pytest
 
+from singlearm import simulate
 from singlearm.analysis import TrialDataset
 from singlearm.cli import (
     EXIT_DATA,
@@ -419,6 +421,24 @@ class TestPresetRuns:
             (float(r["target_event_rate"]), int(r["n"]), float(r["weight"])) for r in rows
         ] == list(itertools.product(targets, sizes, weights))
         assert rows_digest(rows) == self.FIGURE1_DIGEST
+
+    def test_figure1_opens_one_pool(self, tmp_path, monkeypatch):
+        # all four target rates are dealt over one pool, with unchanged rows
+        sizes = []
+        real_pool = simulate.multiprocessing.Pool
+
+        def counting_pool(processes):
+            sizes.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(simulate, "multiprocessing", types.SimpleNamespace(Pool=counting_pool))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")
+        out = str(tmp_path / "sweep.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "2"]) == EXIT_OK
+        assert sizes == [2]
+        with open(out, newline="") as fh:
+            assert rows_digest(list(csv.DictReader(fh))) == self.FIGURE1_DIGEST
 
     def test_table2_sample_sizes(self, tmp_path):
         cfg = put(

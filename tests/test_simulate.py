@@ -13,12 +13,16 @@ from singlearm.errors import DomainError
 from singlearm.models import (
     CensoringModel,
     Exponential,
+    ExponentialDropout,
     NoDropout,
+    PiecewiseExponential,
+    PowerAccrual,
     UniformAccrual,
     Weibull,
     dropout_from_yearly_rate,
     hazard_ratio_alternative,
 )
+from singlearm.numerics import substream
 from singlearm.simulate import (
     ScenarioSpec,
     draw_trial,
@@ -95,6 +99,55 @@ class TestDrawTrial:
         horizon = CENSORING.analysis_time - arrays.entry
         assert np.any(censored)
         assert np.array_equal(arrays.time_on_study[censored], horizon[censored])
+
+
+class TestBlockReduction:
+    """The kernel's per-replication event counts N and compensators A0
+    against the subject-level oracle ``draw_trial`` on the same stream."""
+
+    WEIBULL = Weibull(1.3, 2.5)
+    EXPONENTIAL = Exponential.from_median(2.0)
+    PIECEWISE = PiecewiseExponential((0.5, 1.5), (0.4, 0.2, 0.6))
+    # null, truth: the constant-ratio laws and the laws reduced from times
+    LAWS = {
+        "truth_is_null": (WEIBULL, WEIBULL),
+        "weibull_alternative": (WEIBULL, hazard_ratio_alternative(WEIBULL, 1.6)),
+        "exponential_alternative": (EXPONENTIAL, hazard_ratio_alternative(EXPONENTIAL, 0.7)),
+        "weibull_other_shape": (WEIBULL, Weibull(0.8, 3.0)),
+        "piecewise_truth": (WEIBULL, PIECEWISE),
+        "piecewise_alternative": (PIECEWISE, hazard_ratio_alternative(PIECEWISE, 1.4)),
+    }
+    DROPOUTS = {"no_dropout": NoDropout(), "exponential_dropout": ExponentialDropout(0.4)}
+    ACCRUALS = {"uniform": UniformAccrual(2.0), "power": PowerAccrual(2.0, 0.6)}
+    REPS = 700  # two row chunks at n = 60
+
+    @staticmethod
+    def reduce(spec, reps, with_times):
+        buffers = np.empty((reps, spec.n)), np.empty((reps, spec.n))
+        chunks = list(simulate._reduce_block(spec, substream(8, 3), *buffers, with_times))
+        return [None if part[0] is None else np.concatenate(part) for part in zip(*chunks)]
+
+    @pytest.mark.parametrize("n", [1, 60])
+    @pytest.mark.parametrize("accrual", ACCRUALS)
+    @pytest.mark.parametrize("dropout", DROPOUTS)
+    @pytest.mark.parametrize("laws", LAWS)
+    def test_matches_draw_trial(self, laws, dropout, accrual, n):
+        null, truth = self.LAWS[laws]
+        censoring = CensoringModel(self.ACCRUALS[accrual], self.DROPOUTS[dropout], 3.0)
+        spec = make_spec(
+            truth_model=truth, null_model=null, censoring=censoring, n=n, replications=self.REPS
+        )
+        oracle = draw_trial(truth, censoring, substream(8, 3), self.REPS, n)
+        oracle_n = oracle.event.sum(axis=1)
+        oracle_a0 = null.cum_hazard(oracle.time_on_study).sum(axis=1)
+        n_events, a0, _, _ = self.reduce(spec, self.REPS, with_times=False)
+        assert np.array_equal(n_events, oracle_n)
+        np.testing.assert_allclose(a0, oracle_a0, rtol=1e-12, atol=0.0)
+        # with times, as a random_km weight reads them, the oracle's bits
+        n_events, a0, events, times = self.reduce(spec, self.REPS, with_times=True)
+        assert np.array_equal(n_events, oracle_n) and np.array_equal(a0, oracle_a0)
+        assert np.array_equal(events, oracle.event)
+        assert np.array_equal(times, oracle.time_on_study)
 
 
 class TestRunScenarioDeterminism:
@@ -446,3 +499,11 @@ class TestGoldenTallies:
         )
         assert got == self.TABLE
         assert cells[0].weight == pytest.approx(0.32084, abs=1e-5) and cells[1].weight == 1.0
+
+    @pytest.mark.parametrize("chunk", ["one_row", "over_a_block"])
+    def test_counters_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        elements = 1 if chunk == "one_row" else 2 * simulate._BLOCK_ELEMENTS
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", elements)
+        self.test_scenario_counters(workers=1)
+        self.test_sweep_counters(workers=1)
+        self.test_table_counters(workers=1)
