@@ -36,7 +36,7 @@ from .models import (
     _accrual_law,
     hazard_ratio_alternative,
 )
-from .numerics import RootSettings, find_root, integrate, normal_cdf, normal_quantile
+from .numerics import find_root, integrate, normal_cdf, normal_quantile
 
 __all__ = [
     "WeightPolicy",
@@ -58,7 +58,7 @@ __all__ = [
 _OMEGA_FLOOR = 1e-12
 
 # bracket width at which a solved accrual length is accepted
-_ACCRUAL_ROOT = RootSettings(abs_tol=1e-8)
+_ACCRUAL_ROOT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -494,7 +494,7 @@ def solve_accrual_length(spec: DesignSpec) -> DesignResult:
         lo *= 0.5
         if lo < 1e-9:
             raise InfeasibleDesignError("supply exceeds demand even for vanishing accrual windows")
-    solved = find_root(gap, lo, hi, _ACCRUAL_ROOT)
+    solved = find_root(gap, lo, hi, _ACCRUAL_ROOT_TOL)
     censoring, mom, w, rate_null = _design_pieces(spec, solved)
     n = max(1, _ceil_with_slack(r * solved))
     return _build_result(spec, solved, n, censoring, mom, w, rate_null)

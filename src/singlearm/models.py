@@ -1,10 +1,11 @@
 """Parametric survival, accrual, and dropout laws.
 
 Every survival law is specified through its cumulative hazard and the
-inverse of that function, from which survival, density, quantile, and
-inverse-transform sampling all follow. The censoring composite
-``S_U(s) = S_C(s) * F_Y((t - s)+)`` combines staggered entry with dropout
-for a trial analyzed at calendar time ``t``.
+inverse of that function: the design integrals substitute u = Lambda(s),
+the test's compensator sums Lambda_0 over observed times, and the
+simulation draws event times as Lambda^-1 of unit exponentials. The
+censoring composite ``S_U(s) = S_C(s) * F_Y((t - s)+)`` combines
+staggered entry with dropout for a trial analyzed at calendar time ``t``.
 """
 
 from __future__ import annotations
@@ -53,26 +54,8 @@ class SurvivalModel:
     def inverse_cum_hazard(self, u):
         raise NotImplementedError
 
-    def hazard(self, s):
-        raise NotImplementedError
-
     def survival(self, s):
         return _match(s, np.exp(-np.asarray(self.cum_hazard(s))))
-
-    def cdf(self, s):
-        return _match(s, -np.expm1(-np.asarray(self.cum_hazard(s))))
-
-    def density(self, s):
-        return _match(s, np.asarray(self.hazard(s)) * np.asarray(self.survival(s)))
-
-    def quantile(self, p):
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("quantile requires probabilities in [0, 1]")
-        return _match(p, self.inverse_cum_hazard(-np.log1p(-arr)))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.inverse_cum_hazard(rng.standard_exponential(size))
 
 
 @dataclass(frozen=True)
@@ -93,12 +76,6 @@ class Weibull(SurvivalModel):
     def inverse_cum_hazard(self, u):
         scaled = np.maximum(np.asarray(u, dtype=float), 0.0) / LOG_TWO
         return _match(u, self.median * scaled ** (1.0 / self.shape))
-
-    def hazard(self, s):
-        scaled = np.maximum(np.asarray(s, dtype=float), 0.0) / self.median
-        with np.errstate(divide="ignore"):
-            out = (LOG_TWO * self.shape / self.median) * scaled ** (self.shape - 1.0)
-        return _match(s, out)
 
 
 @dataclass(frozen=True)
@@ -126,9 +103,6 @@ class Exponential(SurvivalModel):
 
     def inverse_cum_hazard(self, u):
         return _match(u, np.maximum(np.asarray(u, dtype=float), 0.0) / self.rate)
-
-    def hazard(self, s):
-        return _match(s, np.full_like(np.asarray(s, dtype=float), self.rate))
 
 
 @dataclass(frozen=True)
@@ -164,22 +138,15 @@ class PiecewiseExponential(SurvivalModel):
         widths = np.diff(self._knots)
         return np.concatenate(([0.0], np.cumsum(self._rates[:-1] * widths)))
 
-    def _segment(self, s: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self._knots, s, side="right") - 1, 0, len(self.rates) - 1)
-
     def cum_hazard(self, s):
         arr = np.maximum(np.asarray(s, dtype=float), 0.0)
-        i = self._segment(arr)
+        i = np.clip(np.searchsorted(self._knots, arr, side="right") - 1, 0, len(self.rates) - 1)
         return _match(s, self._cum_at_knots[i] + self._rates[i] * (arr - self._knots[i]))
 
     def inverse_cum_hazard(self, u):
         arr = np.maximum(np.asarray(u, dtype=float), 0.0)
         i = np.clip(np.searchsorted(self._cum_at_knots, arr, side="right") - 1, 0, len(self.rates) - 1)
         return _match(u, self._knots[i] + (arr - self._cum_at_knots[i]) / self._rates[i])
-
-    def hazard(self, s):
-        arr = np.maximum(np.asarray(s, dtype=float), 0.0)
-        return _match(s, self._rates[self._segment(arr)])
 
 
 def hazard_ratio_alternative(null: SurvivalModel, delta: float) -> SurvivalModel:
@@ -211,9 +178,6 @@ class AccrualModel:
 
     def quantile(self, u):
         raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -284,8 +248,9 @@ class NoDropout(DropoutModel):
         return _match(s, np.ones_like(np.asarray(s, dtype=float)))
 
     def sample(self, rng: np.random.Generator, size=None):
-        # no randomness consumed, so stream layouts match the dropout-free case
-        return np.inf if size is None else np.full(size, np.inf)
+        # no randomness consumed, so stream layouts match the dropout-free
+        # case; a read-only broadcast, so a block allocates nothing
+        return np.inf if size is None else np.broadcast_to(np.inf, size)
 
 
 @dataclass(frozen=True)
@@ -309,7 +274,9 @@ class ExponentialDropout(DropoutModel):
         return _match(s, np.exp(-self.hazard * np.maximum(np.asarray(s, dtype=float), 0.0)))
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.standard_exponential(size) / self.hazard
+        draws = rng.standard_exponential(size)
+        draws /= self.hazard  # in place: one block-sized array, same values
+        return draws
 
 
 def dropout_from_yearly_rate(rate: float) -> DropoutModel:

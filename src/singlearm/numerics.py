@@ -5,7 +5,6 @@ root finding, the standard-normal distribution, and seeded RNG substreams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -16,8 +15,6 @@ from scipy import special as _scipy_special
 from .errors import BracketError, DomainError, NumericalError, QuadratureError
 
 __all__ = [
-    "QuadratureSettings",
-    "RootSettings",
     "integrate",
     "find_root",
     "normal_cdf",
@@ -26,43 +23,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Accuracy targets for adaptive quadrature."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
-class RootSettings:
-    """Accuracy targets for bracketed root finding."""
-
-    abs_tol: float = 1e-9
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise DomainError("root tolerance must be strictly positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
-
-
 def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    settings: QuadratureSettings = QuadratureSettings(),
     breakpoints: Iterable[float] = (),
 ) -> float:
-    """Integrate ``f`` over ``[lo, hi]`` with adaptive Gauss-Kronrod quadrature.
+    """Integrate ``f`` over ``[lo, hi]`` with adaptive Gauss-Kronrod quadrature
+    to an absolute error of 1e-10 or a relative error of 1e-9, in at most 200
+    subintervals.
 
     ``breakpoints`` declares interior points where the integrand kinks; the
     interval is split there before adaptive refinement, so piecewise-smooth
@@ -71,8 +40,8 @@ def integrate(
     Raises
     ------
     QuadratureError
-        If the requested accuracy is not reached within ``max_subdivisions``;
-        the partial estimate is attached to the exception.
+        If that accuracy is not reached within 200 subintervals; the partial
+        estimate is attached to the exception.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError("integration bounds must be finite")
@@ -86,17 +55,16 @@ def integrate(
         lo,
         hi,
         points=interior or None,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        epsabs=1e-10,
+        epsrel=1e-9,
+        limit=200,
         full_output=1,
     )
     # quad appends an explanatory message exactly when it could not converge
     if len(result) > 3:
-        value = float(result[0])
         raise QuadratureError(
             f"quadrature did not converge on [{lo}, {hi}]: {result[3]}",
-            partial_estimate=value,
+            partial_estimate=float(result[0]),
         )
     return float(result[0])
 
@@ -105,9 +73,10 @@ def find_root(
     g: Callable[[float], float],
     lo: float,
     hi: float,
-    settings: RootSettings = RootSettings(),
+    abs_tol: float = 1e-9,
 ) -> float:
-    """Locate a root of ``g`` inside the bracket ``[lo, hi]``.
+    """Locate a root of ``g`` inside the bracket ``[lo, hi]`` to within
+    ``abs_tol``, in at most 200 iterations.
 
     Uses a safeguarded inverse-quadratic/bisection hybrid, so convergence is
     guaranteed whenever the bracket encloses a sign change.
@@ -117,8 +86,7 @@ def find_root(
     BracketError
         If ``g`` has the same sign at both bracket ends.
     NumericalError
-        If the iteration limit is reached before the bracket shrinks to
-        ``abs_tol``.
+        If 200 iterations do not shrink the bracket to ``abs_tol``.
     """
     if not lo < hi:
         raise DomainError(f"bracket out of order: [{lo}, {hi}]")
@@ -136,14 +104,14 @@ def find_root(
         g,
         lo,
         hi,
-        xtol=settings.abs_tol,
-        maxiter=settings.max_iterations,
+        xtol=abs_tol,
+        maxiter=200,
         full_output=True,
         disp=False,
     )
     if not info.converged:
         raise NumericalError(
-            f"root finding did not converge within {settings.max_iterations} iterations"
+            "root finding did not converge within 200 iterations"
         )
     return float(root)
 

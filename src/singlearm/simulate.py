@@ -317,11 +317,22 @@ def _tally(runs: Sequence[_Run], workers: int) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
-def _rate_and_se(count: int, determinate: int) -> tuple[float, float]:
-    if determinate <= 0:
-        return math.nan, math.nan
-    rate = count / determinate
-    return rate, math.sqrt(rate * (1.0 - rate) / determinate)
+def _read_counts(
+    row: Sequence[int], replications: int, label: str = "", kind: str = "", weight: float | None = None
+) -> PolicyOutcome:
+    """Read one (run, weight) counter row of ``_tally``; every report reads
+    its counts, rates and standard errors through here. Rates and errors
+    are NaN when no replication is determinate. Sweeps and tables name no
+    policy, so they leave ``label``, ``kind`` and ``weight`` unset."""
+    rejections = (row[_K_TWO], row[_K_LEFT], row[_K_RIGHT])
+    determinate = replications - row[_K_IND]
+    rates = ses = (math.nan,) * 3
+    if determinate > 0:
+        rates = tuple(k / determinate for k in rejections)
+        ses = tuple(math.sqrt(r * (1.0 - r) / determinate) for r in rates)
+    return PolicyOutcome(
+        label, kind, weight, replications, determinate, row[_K_IND], row[_K_FB], *rejections, *rates, *ses
+    )
 
 
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> SimulationReport:
@@ -339,40 +350,12 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1) -> SimulationReport:
     }
     weights = tuple(solved.get(p) for p in spec.policies)
     run = _Run(spec=spec, weights=weights, km_fallback=solved.get(fallback))
-    outcomes = []
-    for policy, w, row in zip(spec.policies, weights, _tally([run], workers)[0].tolist()):
-        k_two, k_left, k_right, k_ind, k_fb = row
-        determinate = spec.replications - k_ind
-        rate_two, se_two = _rate_and_se(k_two, determinate)
-        rate_left, se_left = _rate_and_se(k_left, determinate)
-        rate_right, se_right = _rate_and_se(k_right, determinate)
-        outcomes.append(
-            PolicyOutcome(
-                label=policy.label,
-                kind=policy.kind,
-                weight=w,
-                replications=spec.replications,
-                determinate=determinate,
-                indeterminate=k_ind,
-                fallbacks=k_fb,
-                rejections_two=k_two,
-                rejections_left=k_left,
-                rejections_right=k_right,
-                rate_two=rate_two,
-                rate_left=rate_left,
-                rate_right=rate_right,
-                se_two=se_two,
-                se_left=se_left,
-                se_right=se_right,
-            )
-        )
-    return SimulationReport(
-        n=spec.n,
-        replications=spec.replications,
-        master_seed=spec.master_seed,
-        alpha=spec.alpha,
-        policies=tuple(outcomes),
+    rows = _tally([run], workers)[0].tolist()
+    outcomes = tuple(
+        _read_counts(row, spec.replications, policy.label, policy.kind, w)
+        for policy, w, row in zip(spec.policies, weights, rows)
     )
+    return SimulationReport(spec.n, spec.replications, spec.master_seed, spec.alpha, outcomes)
 
 
 class SweepCell(NamedTuple):
@@ -429,18 +412,11 @@ def _weight_sweeps(
         cells = []
         for n, n_rows in zip(sample_sizes, base_rows):
             for w, row in zip(grid, n_rows):
-                determinate = base.replications - row[_K_IND]
-                rate, se = _rate_and_se(row[_K_LEFT], determinate)
+                c = _read_counts(row, base.replications)
                 cells.append(
                     SweepCell(
-                        n=int(n),
-                        weight=w,
-                        replications=base.replications,
-                        determinate=determinate,
-                        indeterminate=row[_K_IND],
-                        rejections_left=row[_K_LEFT],
-                        rate_left=rate,
-                        se_left=se,
+                        int(n), w, base.replications, c.determinate, c.indeterminate,
+                        c.rejections_left, c.rate_left, c.se_left
                     )
                 )
         sweeps.append(tuple(cells))
@@ -525,15 +501,11 @@ def scenario_table(
                 )
                 runs.append(_Run(spec=spec, weights=(design.weight_used,)))
     # each run tallies one weight; a design's null run precedes its power run
-    tallies = iter(_tally(runs, workers).reshape(-1, 5).tolist())
+    tallies = (_read_counts(row, replications) for row in _tally(runs, workers).reshape(-1, 5).tolist())
     cells: list[TableCell] = []
     for shape, median, delta, design in designed:
-        null_row = next(tallies)
-        alt_row = next(tallies) if include_power else None
-        alpha_left, alpha_left_se = _rate_and_se(null_row[_K_LEFT], replications - null_row[_K_IND])
-        power = power_se = None
-        if alt_row is not None:
-            power, power_se = _rate_and_se(alt_row[_K_LEFT], replications - alt_row[_K_IND])
+        null_counts = next(tallies)
+        alt = next(tallies) if include_power else None
         cells.append(
             TableCell(
                 shape=shape,
@@ -542,13 +514,13 @@ def scenario_table(
                 policy_label=design.policy.label,
                 n=design.n,
                 weight=design.weight_used,
-                alpha_left=alpha_left,
-                alpha_left_se=alpha_left_se,
-                indeterminate_null=null_row[_K_IND],
+                alpha_left=null_counts.rate_left,
+                alpha_left_se=null_counts.se_left,
+                indeterminate_null=null_counts.indeterminate,
                 best_alpha=False,
-                power=power,
-                power_se=power_se,
-                indeterminate_alt=None if alt_row is None else alt_row[_K_IND],
+                power=None if alt is None else alt.rate_left,
+                power_se=None if alt is None else alt.se_left,
+                indeterminate_alt=None if alt is None else alt.indeterminate,
             )
         )
     nominal = alpha / 2.0

@@ -131,7 +131,7 @@ class TestMoments:
         # Instant accrual and no dropout leave only the administrative cutoff.
         model = Exponential(1.0)
         cens = CensoringModel(UniformAccrual(1e-9), NoDropout(), 1.0)
-        assert expected_event_rate(model, cens) == pytest.approx(model.cdf(1.0), abs=1e-6)
+        assert expected_event_rate(model, cens) == pytest.approx(1.0 - model.survival(1.0), abs=1e-6)
 
     def test_fewer_events_under_protective_alternative(self):
         null = Weibull(1.0, 1.0)

