@@ -137,15 +137,15 @@ class _Key:
     type: type
     required: bool = False
     default: Any = None
-    choices: tuple | None = None
 
 
-_MODEL_KEYS = {
-    "null_family": _Key(str, required=True, choices=("weibull", "exponential")),
-    "null_shape": _Key(float),
-    "null_median": _Key(float),
-    "null_rate": _Key(float),
-}
+def _law_keys(prefix: str, required: bool = False) -> dict[str, _Key]:
+    """The keys of one survival law, which ``_survival_from`` reads."""
+    return {
+        f"{prefix}_family": _Key(str, required=required),
+        **{f"{prefix}_{param}": _Key(float) for param in ("shape", "median", "rate")},
+    }
+
 
 _DROPOUT_KEYS = {
     "dropout_rate_yearly": _Key(float),
@@ -153,12 +153,9 @@ _DROPOUT_KEYS = {
 }
 
 _DESIGN_SCHEMA = {
-    **_MODEL_KEYS,
+    **_law_keys("null", required=True),
     "hazard_ratio": _Key(float),
-    "alt_family": _Key(str, choices=("weibull", "exponential")),
-    "alt_shape": _Key(float),
-    "alt_median": _Key(float),
-    "alt_rate": _Key(float),
+    **_law_keys("alt"),
     "follow_up": _Key(float, required=True),
     "accrual_length": _Key(float),
     "accrual_rate": _Key(float),
@@ -173,7 +170,7 @@ _DESIGN_SCHEMA = {
 }
 
 _ANALYZE_SCHEMA = {
-    **_MODEL_KEYS,
+    **_law_keys("null", required=True),
     "analysis_time": _Key(float, required=True),
     "alpha": _Key(float, default=0.05),
     "weight_policy": _Key(str, required=True),
@@ -190,11 +187,8 @@ _RUN_KEYS = {
 }
 
 _SCENARIO_SCHEMA = {
-    **_MODEL_KEYS,
-    "truth_family": _Key(str, choices=("weibull", "exponential")),
-    "truth_shape": _Key(float),
-    "truth_median": _Key(float),
-    "truth_rate": _Key(float),
+    **_law_keys("null", required=True),
+    **_law_keys("truth"),
     "hazard_ratio_truth": _Key(float),
     "hazard_ratio": _Key(float),
     "n": _Key(int, required=True),
@@ -263,10 +257,6 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
             elif key.type is str:
                 if not isinstance(value, str):
                     raise ConfigError(f"config key {name!r} must be a string")
-                if key.choices and value not in key.choices:
-                    raise ConfigError(
-                        f"config key {name!r} must be one of {', '.join(key.choices)}"
-                    )
             out[name] = value
         elif key.required:
             raise ConfigError(f"missing required config key for {command}: {name!r}")
@@ -282,11 +272,13 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
 # model builders
 
 
-def _survival_from(config: dict, prefix: str) -> SurvivalModel:
-    family = config[f"{prefix}_family"]
-    shape = config.get(f"{prefix}_shape")
-    median = config.get(f"{prefix}_median")
-    rate = config.get(f"{prefix}_rate")
+def _survival_from(config: dict, prefix: str) -> SurvivalModel | None:
+    """The law that the ``{prefix}_*`` keys describe, or None if none is set."""
+    family, shape, median, rate = (config.get(key) for key in _law_keys(prefix))
+    if family is None:
+        if (shape, median, rate) != (None, None, None):
+            raise ConfigError(f"{prefix}_shape, {prefix}_median and {prefix}_rate need {prefix}_family")
+        return None
     if family == "weibull":
         if shape is None or median is None:
             raise ConfigError(f"{prefix}_family weibull needs {prefix}_shape and {prefix}_median")
@@ -301,7 +293,7 @@ def _survival_from(config: dict, prefix: str) -> SurvivalModel:
                 f"{prefix}_family exponential needs exactly one of {prefix}_rate and {prefix}_median"
             )
         return Exponential(rate) if rate is not None else Exponential.from_median(median)
-    raise ConfigError(f"unknown survival family: {family!r}")
+    raise ConfigError(f"config key '{prefix}_family' must be one of weibull, exponential")
 
 
 def _dropout_from(config: dict) -> DropoutModel:
@@ -311,40 +303,21 @@ def _dropout_from(config: dict) -> DropoutModel:
         raise ConfigError("give at most one of dropout_rate_yearly and dropout_hazard")
     if hazard is not None:
         return ExponentialDropout(hazard)
-    if rate is not None:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError("dropout_rate_yearly must lie in [0, 1)")
-        return dropout_from_yearly_rate(rate)
-    return NoDropout()
+    return dropout_from_yearly_rate(rate) if rate is not None else NoDropout()
 
 
 def _policy_from(config: dict) -> WeightPolicy:
-    kind = config["weight_policy"]
-    if kind not in WeightPolicy.KINDS:
-        raise ConfigError(
-            f"unknown weight_policy {kind!r}; choose from "
-            + ", ".join(sorted(WeightPolicy.KINDS))
-        )
-    fixed = config.get("fixed_weight")
-    if kind == "fixed":
-        if fixed is None:
-            raise ConfigError("weight_policy fixed needs fixed_weight")
-        return WeightPolicy.fixed(fixed)
-    if fixed is not None:
-        raise ConfigError("fixed_weight only applies to weight_policy fixed")
-    return WeightPolicy(kind)
+    return WeightPolicy(config["weight_policy"], config.get("fixed_weight"))
 
 
 def _parse_policy_token(token: str) -> WeightPolicy:
+    """A ``policies`` entry: a policy kind, or ``fixed:<weight>``."""
     token = token.strip()
-    if token.startswith("fixed:"):
-        try:
-            return WeightPolicy.fixed(float(token.split(":", 1)[1]))
-        except ValueError:
-            raise ConfigError(f"bad fixed policy token: {token!r}") from None
-    if token in WeightPolicy.KINDS - {"fixed"}:
-        return WeightPolicy(token)
-    raise ConfigError(f"unknown policy token {token!r}; use e.g. wu or fixed:0.3")
+    kind, colon, value = token.partition(":")
+    try:
+        return WeightPolicy(kind, float(value) if colon else None)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"bad policy token {token!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +345,11 @@ def write_subject_csv(path: str, data: TrialDataset) -> None:
 
 
 def read_subject_csv(path: str, analysis_time: float) -> TrialDataset:
-    """Parse a subject CSV into a validated dataset."""
-    entry, time_on_study, event, dropout, lines = _read_subject_csv(path)
-    try:
-        return TrialDataset.from_arrays(entry, time_on_study, event, analysis_time, dropout)
-    except DataValidationError as exc:
-        if exc.record_index is not None:
-            raise DataValidationError(f"{path} line {lines[exc.record_index]}: {exc}") from None
-        raise
+    """Parse a subject CSV into a validated dataset.
 
-
-def _read_subject_csv(path: str):
-    """Columns of a subject CSV plus the file line of each record, since
-    blank rows are skipped."""
+    Blank rows are skipped, so each record keeps its file line for the
+    error messages.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -434,13 +399,14 @@ def _read_subject_csv(path: str):
         lines.append(line_no)
     if not entry:
         raise DataValidationError(f"{path}: no subject rows")
-    return (
-        np.array(entry),
-        np.array(time_on_study),
-        np.array(event, dtype=bool),
-        np.array(dropout, dtype=bool) if has_dropout else None,
-        lines,
-    )
+    try:
+        return TrialDataset.from_arrays(
+            entry, time_on_study, event, analysis_time, dropout if has_dropout else None
+        )
+    except DataValidationError as exc:
+        if exc.record_index is not None:
+            raise DataValidationError(f"{path} line {lines[exc.record_index]}: {exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +416,12 @@ def _read_subject_csv(path: str):
 def cmd_design(config: dict) -> ReportEnvelope:
     """Size a trial from planning assumptions."""
     cfg = _validate_config(config, _DESIGN_SCHEMA, "design")
-    null = _survival_from(cfg, "null")
-    alternative = _survival_from(cfg, "alt") if cfg.get("alt_family") is not None else None
     spec = DesignSpec(
-        null_model=null,
+        null_model=_survival_from(cfg, "null"),
         follow_up=cfg["follow_up"],
         weight_policy=_policy_from(cfg),
         hazard_ratio=cfg.get("hazard_ratio"),
-        alternative=alternative,
+        alternative=_survival_from(cfg, "alt"),
         accrual_length=cfg.get("accrual_length"),
         accrual_rate=cfg.get("accrual_rate"),
         accrual_exponent=cfg["accrual_exponent"],
@@ -492,15 +456,18 @@ def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
     """Run the weighted one-sample log-rank test on a subject CSV."""
     cfg = _validate_config(config, _ANALYZE_SCHEMA, "analyze")
     null = _survival_from(cfg, "null")
+    policy = _policy_from(cfg)
+    accrual_length = cfg.get("accrual_length")
+    if accrual_length is None and (cfg["accrual_exponent"] != 1.0 or cfg.keys() & _DROPOUT_KEYS):
+        raise ConfigError("accrual_exponent, dropout_rate_yearly and dropout_hazard need accrual_length")
+    dropout = _dropout_from(cfg)
     data = read_subject_csv(data_path, cfg["analysis_time"])
     design_context = None
-    if cfg.get("accrual_length") is not None:
+    if accrual_length is not None:
         design_context = CensoringModel(
-            _accrual_law(cfg["accrual_length"], cfg["accrual_exponent"]),
-            _dropout_from(cfg),
-            cfg["analysis_time"],
+            _accrual_law(accrual_length, cfg["accrual_exponent"]), dropout, cfg["analysis_time"]
         )
-    outcome = run_test(data, null, _policy_from(cfg), cfg["alpha"], design_context)
+    outcome = run_test(data, null, policy, cfg["alpha"], design_context)
     warnings = []
     if outcome.weight_fallback:
         warnings.append(
@@ -511,14 +478,11 @@ def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
 
 def _simulate_scenario(cfg: dict, workers: int) -> dict:
     null = _survival_from(cfg, "null")
-    if cfg.get("truth_family") is not None:
-        truth = _survival_from(cfg, "truth")
-        if cfg.get("hazard_ratio_truth") is not None:
+    truth = _survival_from(cfg, "truth")
+    if cfg.get("hazard_ratio_truth") is not None:
+        if truth is not None:
             raise ConfigError("give either truth_* keys or hazard_ratio_truth, not both")
-    elif cfg.get("hazard_ratio_truth") is not None:
         truth = hazard_ratio_alternative(null, cfg["hazard_ratio_truth"])
-    else:
-        truth = null
     policies = tuple(_parse_policy_token(tok) for tok in cfg["policies"].split(","))
     censoring = CensoringModel(
         _accrual_law(cfg["accrual_length"], cfg["accrual_exponent"]),
@@ -529,7 +493,7 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
     planning_alt = hazard_ratio_alternative(null, hazard_ratio) if hazard_ratio is not None else None
     report = run_scenario(
         ScenarioSpec(
-            truth_model=truth,
+            truth_model=null if truth is None else truth,
             null_model=null,
             censoring=censoring,
             n=cfg["n"],

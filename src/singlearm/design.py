@@ -88,12 +88,14 @@ class WeightPolicy:
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
-            raise PolicyError(f"unknown weight policy: {self.kind!r}")
+            raise PolicyError(
+                f"unknown weight policy {self.kind!r}; choose from {', '.join(sorted(self.KINDS))}"
+            )
         if self.kind == "fixed":
             if self.value is None or not 0.0 <= self.value <= 1.0:
                 raise PolicyError("fixed weight policy needs a value in [0, 1]")
         elif self.value is not None:
-            raise PolicyError(f"policy {self.kind!r} does not take a value")
+            raise PolicyError(f"only the fixed weight policy takes a value, not {self.kind!r}")
 
     @property
     def label(self) -> str:

@@ -402,6 +402,79 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_USAGE
 
 
+def without(text, line):
+    assert line in text
+    return text.replace(line, "")
+
+
+# (command, config, a substring of the error naming the key or value); each
+# config exits 2 before any computation
+BAD_CONFIGS = {
+    "null_family": ("design", DESIGN_YAML.replace("family: weibull", "family: gompertz"), "null_family"),
+    "alt_family": (
+        "design", without(DESIGN_YAML, "hazard_ratio: 1.75\n") + "alt_family: gompertz\nalt_median: 12.0\n",
+        "alt_family",
+    ),
+    "truth_family": ("simulate", SIMULATE_YAML + "truth_family: gompertz\ntruth_median: 3.0\n", "truth_family"),
+    "weibull_no_shape": ("design", without(DESIGN_YAML, "null_shape: 1.22\n"), "null_shape"),
+    "weibull_rate": ("design", DESIGN_YAML + "null_rate: 0.1\n", "null_rate"),
+    "exponential_shape": ("analyze", ANALYZE_YAML + "null_shape: 1.5\n", "null_shape"),
+    "exponential_rate_and_median": ("analyze", ANALYZE_YAML + "null_rate: 0.1\n", "null_rate"),
+    "fixed_no_weight": ("analyze", without(ANALYZE_YAML, "fixed_weight: 0.1923\n"), "fixed"),
+    "fixed_weight_above_one": ("analyze", ANALYZE_YAML.replace("0.1923", "1.5"), "fixed weight"),
+    "fixed_weight_on_wu": ("analyze", ANALYZE_YAML.replace("policy: fixed", "policy: wu"), "fixed"),
+    "unknown_policy": ("design", DESIGN_YAML.replace("policy: uncorrelated_null", "policy: bogus"), "'bogus'"),
+    "token_not_a_number": ("simulate", SIMULATE_YAML.replace("wu,compensator", "wu,fixed:abc"), "fixed:abc"),
+    "token_above_one": ("simulate", SIMULATE_YAML.replace("wu,compensator", "fixed:2"), "fixed weight"),
+    "token_value_on_wu": ("simulate", SIMULATE_YAML.replace("wu,compensator", "wu:0.3"), "wu:0.3"),
+    "token_bare_fixed": ("simulate", SIMULATE_YAML.replace("wu,compensator", "wu,fixed"), "'fixed'"),
+    "both_dropout_keys": (
+        "design", DESIGN_YAML + "dropout_rate_yearly: 0.1\ndropout_hazard: 0.1\n", "dropout_hazard"
+    ),
+    "dropout_rate_one": ("design", DESIGN_YAML + "dropout_rate_yearly: 1.0\n", "dropout"),
+    "dropout_rate_negative": ("simulate", SIMULATE_YAML + "dropout_rate_yearly: -0.1\n", "dropout"),
+    "truth_and_hazard_ratio_truth": (
+        "simulate", SIMULATE_YAML + "truth_family: exponential\ntruth_median: 3.0\nhazard_ratio_truth: 1.5\n",
+        "hazard_ratio_truth",
+    ),
+    # keys that no law reads without their family key
+    "alt_keys_without_family": ("design", DESIGN_YAML + "alt_median: 12.0\n", "alt_family"),
+    "truth_keys_without_family": ("simulate", SIMULATE_YAML + "truth_median: 3.0\n", "truth_family"),
+    # analyze reads the design-context keys only with accrual_length
+    "analyze_dropout_rate_without_accrual": (
+        "analyze", ANALYZE_YAML + "dropout_rate_yearly: 5.0\n", "accrual_length"
+    ),
+    "analyze_dropout_hazard_without_accrual": (
+        "analyze", ANALYZE_YAML + "dropout_hazard: 0.1\n", "accrual_length"
+    ),
+    "analyze_accrual_exponent_without_accrual": (
+        "analyze", ANALYZE_YAML + "accrual_exponent: 2.0\n", "accrual_length"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, text, named", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_rejected(tmp_path, capsys, command, text, named):
+    cfg = put(tmp_path, "run.yaml", text)
+    extra = {
+        "design": [],
+        "analyze": ["--data", put(tmp_path, "trial.csv", SUBJECT_CSV)],
+        "simulate": ["--replications", "20", "--workers", "1"],
+    }[command]
+    assert main([command, "--config", cfg, *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert named in captured.err
+    # rejected before the command computes or prints anything
+    assert captured.out == ""
+
+
+def test_analyze_context_keys_rejected_before_the_data_is_read(tmp_path, capsys):
+    cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML + "dropout_hazard: 0.1\n")
+    code = main(["analyze", "--config", cfg, "--data", str(tmp_path / "missing.csv")])
+    assert code == EXIT_USAGE
+    assert "accrual_length" in capsys.readouterr().err
+
+
 class TestPresetRuns:
     # any change to the engine, the stream keys or the row shape changes
     # these digests
