@@ -84,27 +84,14 @@ class ReportEnvelope:
     """Structured result of one command invocation; a written report lists
     the fields in this order."""
 
-    tool: str
-    version: str
+    tool: str = "singlearm"
+    version: str = __version__
     command: str
-    timestamp: str
+    timestamp: str = dataclasses.field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     config: dict
     data_path: str | None = None
     results: dict
     warnings: list[str]
-
-
-def _envelope(command: str, config: dict, results: dict, warnings: list[str], data_path=None) -> ReportEnvelope:
-    return ReportEnvelope(
-        tool="singlearm",
-        version=__version__,
-        command=command,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        config=config,
-        results=results,
-        warnings=warnings,
-        data_path=data_path,
-    )
 
 
 def _jsonify(obj: Any) -> Any:
@@ -119,8 +106,6 @@ def _jsonify(obj: Any) -> Any:
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
-    if hasattr(obj, "_asdict"):
-        return {k: _jsonify(v) for k, v in obj._asdict().items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -262,9 +247,12 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
             raise ConfigError(f"missing required config key for {command}: {name!r}")
         elif key.default is not None:
             out[name] = key.default
-    # design and the table presets both plan for this power
-    if "power" in out and not 0.0 < out["power"] < 1.0:
-        raise ConfigError("power must lie in (0, 1)")
+    # checked here, so that no data file is read and no design computed first
+    for name in ("alpha", "power"):
+        if name in out and not 0.0 < out[name] < 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1)")
+    if "analysis_time" in out and not 0.0 < out["analysis_time"] < math.inf:
+        raise ConfigError("analysis_time must be positive and finite")
     return out
 
 
@@ -304,10 +292,6 @@ def _dropout_from(config: dict) -> DropoutModel:
     if hazard is not None:
         return ExponentialDropout(hazard)
     return dropout_from_yearly_rate(rate) if rate is not None else NoDropout()
-
-
-def _policy_from(config: dict) -> WeightPolicy:
-    return WeightPolicy(config["weight_policy"], config.get("fixed_weight"))
 
 
 def _parse_policy_token(token: str) -> WeightPolicy:
@@ -419,7 +403,7 @@ def cmd_design(config: dict) -> ReportEnvelope:
     spec = DesignSpec(
         null_model=_survival_from(cfg, "null"),
         follow_up=cfg["follow_up"],
-        weight_policy=_policy_from(cfg),
+        weight_policy=WeightPolicy(cfg["weight_policy"], cfg.get("fixed_weight")),
         hazard_ratio=cfg.get("hazard_ratio"),
         alternative=_survival_from(cfg, "alt"),
         accrual_length=cfg.get("accrual_length"),
@@ -449,14 +433,14 @@ def cmd_design(config: dict) -> ReportEnvelope:
             "typically closest to nominal in this regime"
         ),
     }
-    return _envelope("design", cfg, payload, [])
+    return ReportEnvelope(command="design", config=cfg, results=payload, warnings=[])
 
 
 def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
     """Run the weighted one-sample log-rank test on a subject CSV."""
     cfg = _validate_config(config, _ANALYZE_SCHEMA, "analyze")
     null = _survival_from(cfg, "null")
-    policy = _policy_from(cfg)
+    policy = WeightPolicy(cfg["weight_policy"], cfg.get("fixed_weight"))
     accrual_length = cfg.get("accrual_length")
     if accrual_length is None and (cfg["accrual_exponent"] != 1.0 or cfg.keys() & _DROPOUT_KEYS):
         raise ConfigError("accrual_exponent, dropout_rate_yearly and dropout_hazard need accrual_length")
@@ -473,7 +457,9 @@ def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
         warnings.append(
             "random_km found no censoring information; the fallback weight was used"
         )
-    return _envelope("analyze", cfg, _jsonify(outcome), warnings, data_path=data_path)
+    return ReportEnvelope(
+        command="analyze", config=cfg, data_path=data_path, results=_jsonify(outcome), warnings=warnings
+    )
 
 
 def _simulate_scenario(cfg: dict, workers: int) -> dict:
@@ -524,20 +510,11 @@ def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
     else:
         settings = {k: v for k, v in cfg.items() if k != "preset"}
         payload = {"rows": [_jsonify(row) for row in PRESETS[preset](**settings, workers=workers)]}
-    return _envelope("simulate", cfg, payload, warnings)
+    return ReportEnvelope(command="simulate", config=cfg, results=payload, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
 # output
-
-
-def _print_flat(results: dict) -> None:
-    for key, value in results.items():
-        if isinstance(value, dict):
-            for sub, val in value.items():
-                print(f"  {key}.{sub}: {val}")
-        else:
-            print(f"  {key}: {value}")
 
 
 def _print_envelope(env: ReportEnvelope) -> None:
@@ -567,7 +544,12 @@ def _print_envelope(env: ReportEnvelope) -> None:
                 parts.append(f"indeterminate={pol['indeterminate']}")
             print("  " + ", ".join(parts))
     else:
-        _print_flat(results)
+        for key, value in results.items():
+            if isinstance(value, dict):
+                for sub, val in value.items():
+                    print(f"  {key}.{sub}: {val}")
+            else:
+                print(f"  {key}: {value}")
     for warning in env.warnings:
         print(f"  warning: {warning}", file=sys.stderr)
 

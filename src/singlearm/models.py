@@ -263,13 +263,6 @@ class ExponentialDropout(DropoutModel):
         if not self.hazard > 0.0:
             raise DomainError("dropout hazard must be positive")
 
-    @classmethod
-    def from_yearly_rate(cls, rate: float) -> "ExponentialDropout":
-        """Hazard implied by losing the given fraction of subjects per year."""
-        if not 0.0 < rate < 1.0:
-            raise DomainError("yearly dropout rate must lie in (0, 1)")
-        return cls(-math.log1p(-rate))
-
     def survival(self, s):
         return _match(s, np.exp(-self.hazard * np.maximum(np.asarray(s, dtype=float), 0.0)))
 
@@ -280,10 +273,13 @@ class ExponentialDropout(DropoutModel):
 
 
 def dropout_from_yearly_rate(rate: float) -> DropoutModel:
-    """Dropout model for a yearly loss fraction; zero maps to no dropout."""
+    """Dropout model that loses the given fraction of subjects per year;
+    zero maps to no dropout."""
     if rate == 0.0:
         return NoDropout()
-    return ExponentialDropout.from_yearly_rate(rate)
+    if not 0.0 < rate < 1.0:
+        raise DomainError("yearly dropout rate must lie in (0, 1)")
+    return ExponentialDropout(-math.log1p(-rate))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from .design import DesignSpec, WeightPolicy, expected_event_rate
 from .models import (
     CensoringModel,
     Exponential,
-    ExponentialDropout,
     NoDropout,
     UniformAccrual,
     Weibull,
+    dropout_from_yearly_rate,
 )
 from .numerics import find_root
 from .simulate import ScenarioSpec, TableCell, _weight_sweeps, scenario_table
@@ -47,7 +47,6 @@ __all__ = [
     "sweep_censoring",
     "sweep_truth",
     "pbc_design",
-    "PBC_POLICIES",
     "PRESETS",
 ]
 
@@ -70,8 +69,6 @@ _SWEEP_ACCRUAL = 1.0
 _SWEEP_FOLLOW_UP = 1.0
 _SWEEP_YEARLY_DROPOUT = 0.1
 
-PBC_POLICIES = BENCHMARK_POLICIES
-
 
 def benchmark_censoring() -> CensoringModel:
     """Censoring environment of the benchmark grid."""
@@ -91,7 +88,7 @@ def sweep_censoring() -> CensoringModel:
     """Censoring environment of the weight-sweep protocol."""
     return CensoringModel(
         UniformAccrual(_SWEEP_ACCRUAL),
-        ExponentialDropout.from_yearly_rate(_SWEEP_YEARLY_DROPOUT),
+        dropout_from_yearly_rate(_SWEEP_YEARLY_DROPOUT),
         _SWEEP_ACCRUAL + _SWEEP_FOLLOW_UP,
     )
 
@@ -179,7 +176,7 @@ def _table_runner(shapes, medians, hazard_ratios, policies, **censoring):
     return run
 
 
-_PBC = pbc_design(PBC_POLICIES[0])
+_PBC = pbc_design(BENCHMARK_POLICIES[0])
 
 PRESETS = {
     "figure1": _run_figure1,
@@ -195,7 +192,7 @@ PRESETS = {
         (_PBC.null_model.shape,),
         (_PBC.null_model.median,),
         (_PBC.hazard_ratio,),
-        PBC_POLICIES,
+        BENCHMARK_POLICIES,
         accrual_length=_PBC.accrual_length,
         follow_up=_PBC.follow_up,
         dropout=_PBC.dropout,

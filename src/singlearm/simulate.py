@@ -397,8 +397,6 @@ def _weight_sweeps(
     w_arr = np.asarray(list(weights), dtype=float)
     if w_arr.size == 0 or np.any(~((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise DomainError("sweep weights must lie in [0, 1]")
-    if any(n < 1 for n in sample_sizes):
-        raise DomainError("sample sizes must be positive")
     grid = tuple(w_arr.tolist())
     # distinct sample sizes use disjoint stream indices under one seed
     runs = [

@@ -7,10 +7,13 @@ import json
 import math
 import textwrap
 import types
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import singlearm
 from singlearm import simulate
 from singlearm.analysis import TrialDataset
 from singlearm.cli import (
@@ -19,6 +22,7 @@ from singlearm.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    ReportEnvelope,
     cmd_simulate,
     main,
     read_subject_csv,
@@ -195,7 +199,7 @@ class TestAnalyzeCommand:
     def test_infinite_analysis_time_rejected(self, tmp_path):
         cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML.replace("8.0", ".inf"))
         data = put(tmp_path, "trial.csv", SUBJECT_CSV)
-        assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_DATA
+        assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_USAGE
 
     def test_line_number_counts_blank_rows(self, tmp_path, capsys):
         # the bad row sits on file line 6, after two blank rows
@@ -473,6 +477,29 @@ def test_analyze_context_keys_rejected_before_the_data_is_read(tmp_path, capsys)
     code = main(["analyze", "--config", cfg, "--data", str(tmp_path / "missing.csv")])
     assert code == EXIT_USAGE
     assert "accrual_length" in capsys.readouterr().err
+
+
+# (config, the key it gets wrong); analyze must reject each before the data is read
+BAD_ANALYZE_VALUES = {
+    "alpha_above_one": (ANALYZE_YAML + "alpha: 1.5\n", "alpha"),
+    "negative_analysis_time": (ANALYZE_YAML.replace("analysis_time: 8.0", "analysis_time: -8.0"), "analysis_time"),
+    "infinite_analysis_time": (ANALYZE_YAML.replace("analysis_time: 8.0", "analysis_time: .inf"), "analysis_time"),
+}
+
+
+@pytest.mark.parametrize("data", ["missing.csv", "example_subjects.csv"])
+@pytest.mark.parametrize("text, key", BAD_ANALYZE_VALUES.values(), ids=BAD_ANALYZE_VALUES.keys())
+def test_analyze_config_values_rejected_before_the_data_is_read(tmp_path, capsys, text, key, data):
+    cfg = put(tmp_path, "analyze.yaml", text)
+    data_path = tmp_path / data if data == "missing.csv" else Path(__file__).parent.parent / "configs" / data
+    assert main(["analyze", "--config", cfg, "--data", str(data_path)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+def test_report_envelope_fills_tool_version_and_timestamp():
+    env = ReportEnvelope(command="design", config={}, results={}, warnings=[])
+    assert (env.tool, env.version) == ("singlearm", singlearm.__version__)
+    assert datetime.fromisoformat(env.timestamp).utcoffset() == timedelta(0)
 
 
 class TestPresetRuns:

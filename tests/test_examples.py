@@ -1,6 +1,7 @@
 """Smoke tests of the shipped examples: every config under ``configs/`` runs
-through the command line, so an API change cannot break them unnoticed, and
-every setting its comments offer is a key the command accepts."""
+through the command line and every ``python`` block of the README runs, so
+an API change cannot break them unnoticed, and every setting a config's
+comments offer is a key the command accepts."""
 
 import json
 import re
@@ -12,6 +13,7 @@ from singlearm.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
 
 # extra command-line arguments per subcommand; simulations stay small
 COMMAND_ARGS = {
@@ -57,3 +59,12 @@ def test_commented_setting_is_a_known_key(config, line, tmp_path, capsys):
     edited.write_text(config.read_text().replace(line, line.lstrip("# "), 1))
     main([command, "--config", str(edited), *COMMAND_ARGS[command]])
     assert "unknown config key" not in capsys.readouterr().err
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_example_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

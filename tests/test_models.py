@@ -170,10 +170,10 @@ class TestAccrualAndDropout:
         assert rng.bit_generator.state == state_before
 
     def test_exponential_dropout_yearly_rate(self):
-        model = ExponentialDropout.from_yearly_rate(0.1)
+        model = dropout_from_yearly_rate(0.1)
         assert model.survival(1.0) == pytest.approx(0.9, rel=1e-12)
         assert dropout_from_yearly_rate(0.0) == NoDropout()
-        assert dropout_from_yearly_rate(0.1) == model
+        assert model == ExponentialDropout(-math.log1p(-0.1))
 
     def test_yearly_rate_domain(self):
         with pytest.raises(DomainError):
@@ -203,7 +203,7 @@ class TestCensoringModel:
         assert cens.survival_u(3.0) == 0.0
 
     def test_su_with_dropout(self):
-        cens = self.make(dropout=ExponentialDropout.from_yearly_rate(0.1))
+        cens = self.make(dropout=dropout_from_yearly_rate(0.1))
         assert cens.survival_u(1.5) == pytest.approx(0.9**1.5 * 0.5, rel=1e-12)
 
     def test_su_monotone_nonincreasing(self):
