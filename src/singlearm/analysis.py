@@ -220,7 +220,7 @@ def _resolve_analysis_weight(
         return resolve_weight(policy, null, None, design_context), False
     result = km_weight_from_arrays(data.times_on_study, data.events, null)
     if result.used_fallback and design_context is not None:
-        # solved only here: the planning weight costs a quadrature root find
+        # resolved only here: the planning weight costs a quadrature
         planning = resolve_weight(WeightPolicy.uncorrelated_null(), null, None, design_context)
         return planning, True
     return result

@@ -230,8 +230,9 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
             if isinstance(value, (dict, list)):
                 raise ConfigError(f"config key {name!r} must be a scalar")
             if key.type is float:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"config key {name!r} must be a number")
+                numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not (numeric and math.isfinite(value)):
+                    raise ConfigError(f"config key {name!r} must be a finite number")
                 value = float(value)
             elif key.type is int:
                 if isinstance(value, bool) or not isinstance(value, int):
@@ -251,8 +252,8 @@ def _validate_config(raw: dict, schema: dict[str, _Key], command: str) -> dict:
     for name in ("alpha", "power"):
         if name in out and not 0.0 < out[name] < 1.0:
             raise ConfigError(f"{name} must lie in (0, 1)")
-    if "analysis_time" in out and not 0.0 < out["analysis_time"] < math.inf:
-        raise ConfigError("analysis_time must be positive and finite")
+    if "analysis_time" in out and not out["analysis_time"] > 0.0:
+        raise ConfigError("analysis_time must be positive")
     return out
 
 

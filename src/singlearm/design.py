@@ -8,10 +8,11 @@ for the standardized statistic
     z = (N(t) - A0(t)) / sqrt(w N(t) + (1 - w) A0(t)).
 
 Every planning integral (moments, event rates, the uncorrelated-null
-weight) is one cumulative-hazard quadrature, substituting u = Lambda(s),
-at the fixed accuracy of ``numerics.integrate``. The substitution removes
-the hazard singularity that Weibull laws with shape below one have at zero
-and leaves bounded, nearly smooth integrands.
+weight) is a row of one of two quadratures per design, one per law, on
+shared nodes: each runs over that law's cumulative hazard, substituting
+u = Lambda(s), at the fixed accuracy of ``numerics.integrate``. The
+substitution removes the hazard singularity that Weibull laws with shape
+below one have at zero and leaves bounded, nearly smooth integrands.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -254,29 +257,50 @@ class DesignResult:
     achieved_power: float
 
 
-def _over_cum_hazard(model: SurvivalModel, censoring: CensoringModel, integrand) -> float:
-    """Integral over u = Lambda(s) in [0, Lambda(t)] of integrand(S_U(s), s, u).
+def _integrals(
+    null: SurvivalModel, alternative: SurvivalModel | None, censoring: CensoringModel
+) -> tuple[float, float, MomentSet | None]:
+    """The reference law's event rate, the numerator of its uncorrelated
+    weight and, with an alternative, the moments.
 
-    Lambda is the model's cumulative hazard, so lambda(s) ds = du and densities
-    become e^-u factors; the kinks of S_U are breakpoints, and Lambda^-1 runs
-    once per node. Integrands multiply left to right as S_U * factor * e^-u,
-    an order on which the last bits of every design number depend.
+    Each law's integrals are the rows of one quadrature over u = Lambda(s)
+    in [0, Lambda(t)], Lambda being that law's cumulative hazard: lambda(s) ds
+    = du turns densities into e^-u factors, so every integrand is bounded
+    even for shape < 1. Lambda^-1 and S_U run once per node for all rows,
+    and the kinks of S_U and of both laws, which coincide for a hazard-ratio
+    alternative, are breakpoints. Rows multiply left to right as
+    S_U * factor * e^-u, an order on which the last bits of every design
+    number depend.
     """
-    su = censoring.survival_u
-    inv = model.inverse_cum_hazard
+    kinks = (*censoring.breakpoints, *null.kinks, *(alternative.kinks if alternative else ()))
 
-    def f(u: float) -> float:
-        s = inv(u)
-        return integrand(float(su(s)), s, u)
+    def over(model: SurvivalModel, rows) -> list[float]:
+        def f(u: np.ndarray) -> np.ndarray:
+            s = model.inverse_cum_hazard(u)
+            return np.array(rows(censoring.survival_u(s), s, u, np.exp(-u)))
 
-    hi = float(model.cum_hazard(censoring.analysis_time))
-    brk = [float(model.cum_hazard(b)) for b in censoring.breakpoints]
-    return integrate(f, 0.0, hi, breakpoints=brk)
+        hi = float(model.cum_hazard(censoring.analysis_time))
+        return integrate(f, 0.0, hi, [float(model.cum_hazard(k)) for k in kinks]).tolist()
+
+    def null_rows(su, s, u, e):
+        if alternative is None:
+            return su * e, su * u * e
+        s_alt = alternative.survival(s)
+        return su * e, su * u * e, su * s_alt, su * s_alt * u
+
+    rate, numerator, *v0_v00 = over(null, null_rows)
+    if alternative is None:
+        return rate, numerator, None
+    v1, v01 = over(alternative, lambda su, s, u, e: (su * e, su * null.cum_hazard(s) * e))
+    return rate, numerator, MomentSet(v1=v1, v0=v0_v00[0], v01=v01, v00=v0_v00[1])
 
 
-def _events(su: float, s, u: float) -> float:
-    """Event-rate integrand: S_U f ds becomes S_U e^-u du."""
-    return su * math.exp(-u)
+def _w0(rate_null: float, numerator: float) -> float:
+    if rate_null <= 0.0:
+        raise DegenerateDesignError(
+            "event probability under the reference law is zero by the analysis time"
+        )
+    return numerator / rate_null
 
 
 def moments(
@@ -291,23 +315,14 @@ def moments(
         v00 = int S_U S_alt Lambda_null lambda_null
 
     v1 and v01 are integrated over the alternative's cumulative hazard, v0
-    and v00 over the reference law's, so each integrand is bounded even for
-    shape < 1.
+    and v00 over the reference law's.
     """
-    v1 = _over_cum_hazard(alternative, censoring, _events)
-    v01 = _over_cum_hazard(
-        alternative, censoring, lambda su, s, u: su * float(null.cum_hazard(s)) * math.exp(-u)
-    )
-    v0 = _over_cum_hazard(null, censoring, lambda su, s, u: su * float(alternative.survival(s)))
-    v00 = _over_cum_hazard(
-        null, censoring, lambda su, s, u: su * float(alternative.survival(s)) * u
-    )
-    return MomentSet(v1=v1, v0=v0, v01=v01, v00=v00)
+    return _integrals(null, alternative, censoring)[2]
 
 
 def expected_event_rate(model: SurvivalModel, censoring: CensoringModel) -> float:
     """Probability that a subject has an observed event by the analysis time."""
-    return _over_cum_hazard(model, censoring, _events)
+    return _integrals(model, None, censoring)[0]
 
 
 def weight_uncorrelated_null(null: SurvivalModel, censoring: CensoringModel) -> float:
@@ -316,18 +331,7 @@ def weight_uncorrelated_null(null: SurvivalModel, censoring: CensoringModel) -> 
 
         w0(t) = int S_U f_null Lambda_null / int S_U f_null.
     """
-    return _null_weight_and_rate(null, censoring)[0]
-
-
-def _null_weight_and_rate(null: SurvivalModel, censoring: CensoringModel) -> tuple[float, float]:
-    """w0(t) and its denominator, the reference law's expected event rate."""
-    den = _over_cum_hazard(null, censoring, _events)
-    if den <= 0.0:
-        raise DegenerateDesignError(
-            "event probability under the reference law is zero by the analysis time"
-        )
-    num = _over_cum_hazard(null, censoring, lambda su, s, u: su * u * math.exp(-u))
-    return num / den, den
+    return _w0(*_integrals(null, None, censoring)[:2])
 
 
 def weight_uncorrelated_alt(
@@ -345,6 +349,21 @@ def weight_uncorrelated_alt(
     return moments(null, alternative, censoring).w1
 
 
+def _weight(policy: WeightPolicy, integrals) -> float:
+    """The weight a policy implies; ``integrals()`` gives the triple of
+    ``_integrals`` and is called only by the policies that read it."""
+    kind = policy.kind
+    if kind in ("compensator", "counting", "wu", "fixed"):
+        return float({"compensator": 0.0, "counting": 1.0, "wu": 0.5}.get(kind, policy.value))
+    if kind == "random_km":
+        raise PolicyError("random_km is estimated from trial data, not at design time")
+    rate_null, numerator, mom = integrals()
+    if kind == "uncorrelated_alt":
+        return mom.w1
+    w0 = _w0(rate_null, numerator)
+    return w0 if kind == "uncorrelated_null" else min(w0, 0.5)
+
+
 def resolve_weight(
     policy: WeightPolicy,
     null: SurvivalModel,
@@ -352,27 +371,17 @@ def resolve_weight(
     censoring: CensoringModel | None,
 ) -> float:
     """Numeric weight implied by a policy under the planning assumptions."""
-    if policy.kind == "compensator":
-        return 0.0
-    if policy.kind == "counting":
-        return 1.0
-    if policy.kind == "wu":
-        return 0.5
-    if policy.kind == "fixed":
-        return float(policy.value)
-    if policy.kind == "random_km":
-        raise PolicyError("random_km is estimated from trial data, not at design time")
-    if censoring is None:
-        raise PolicyError(f"policy {policy.kind!r} needs the planning censoring assumptions")
-    if policy.kind == "uncorrelated_null":
-        return weight_uncorrelated_null(null, censoring)
-    if policy.kind == "combined":
-        return min(weight_uncorrelated_null(null, censoring), 0.5)
-    if alternative is None:
-        raise PolicyError(
-            "uncorrelated_alt needs a planning alternative; analyze with its designed fixed weight"
-        )
-    return weight_uncorrelated_alt(null, alternative, censoring)
+
+    def integrals():
+        if censoring is None:
+            raise PolicyError(f"policy {policy.kind!r} needs the planning censoring assumptions")
+        if policy.kind == "uncorrelated_alt" and alternative is None:
+            raise PolicyError(
+                "uncorrelated_alt needs a planning alternative; analyze with its designed fixed weight"
+            )
+        return _integrals(null, alternative if policy.kind == "uncorrelated_alt" else None, censoring)
+
+    return _weight(policy, integrals)
 
 
 def _required_n(mom: MomentSet, w: float, alpha: float, beta: float) -> float:
@@ -406,19 +415,12 @@ def _ceil_with_slack(x: float) -> int:
 
 
 def _design_pieces(spec: DesignSpec, accrual_length: float):
-    """Censoring, moments, weight, and the reference event rate if the
-    weight has integrated it (None otherwise)."""
+    """Censoring, moments, weight and reference event rate at the given
+    accrual length."""
     censoring = spec.censoring_at(accrual_length)
-    alternative = spec.resolved_alternative()
-    mom = moments(spec.null_model, alternative, censoring)
-    kind = spec.weight_policy.kind
-    if kind == "uncorrelated_alt":  # resolve_weight would integrate mom again
-        return censoring, mom, mom.w1, None
-    if kind in ("uncorrelated_null", "combined"):  # w0's denominator is the event rate
-        w0, rate_null = _null_weight_and_rate(spec.null_model, censoring)
-        return censoring, mom, (w0 if kind == "uncorrelated_null" else min(w0, 0.5)), rate_null
-    w = resolve_weight(spec.weight_policy, spec.null_model, alternative, censoring)
-    return censoring, mom, w, None
+    integrals = _integrals(spec.null_model, spec.resolved_alternative(), censoring)
+    rate_null, _, mom = integrals
+    return censoring, mom, _weight(spec.weight_policy, lambda: integrals), rate_null
 
 
 def _build_result(
@@ -428,14 +430,12 @@ def _build_result(
     censoring: CensoringModel,
     mom: MomentSet,
     w: float,
-    rate_null: float | None,
+    rate_null: float,
 ) -> DesignResult:
     if n > spec.sample_size_cap:
         raise CapExceededError(
             f"required sample size {n} exceeds the cap of {spec.sample_size_cap}"
         )
-    if rate_null is None:
-        rate_null = expected_event_rate(spec.null_model, censoring)
     return DesignResult(
         n=n,
         weight_used=w,

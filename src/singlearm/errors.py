@@ -47,14 +47,7 @@ class NumericalError(SingleArmError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive integration did not converge.
-
-    Carries the partial estimate so callers can report diagnostics.
-    """
-
-    def __init__(self, message: str, partial_estimate: float | None = None):
-        super().__init__(message)
-        self.partial_estimate = partial_estimate
+    """Adaptive integration did not converge."""
 
 
 class BracketError(NumericalError):

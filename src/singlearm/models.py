@@ -48,6 +48,9 @@ def _match(reference, values):
 class SurvivalModel:
     """Base class: families implement the cumulative hazard and its inverse."""
 
+    # times at which the hazard jumps, declared to the quadrature engine
+    kinks: tuple[float, ...] = ()
+
     def cum_hazard(self, s):
         raise NotImplementedError
 
@@ -124,6 +127,10 @@ class PiecewiseExponential(SurvivalModel):
         knots = (0.0,) + tuple(self.breakpoints)
         if any(b <= a for a, b in zip(knots[:-1], knots[1:])):
             raise DomainError("breakpoints must be strictly increasing and positive")
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return self.breakpoints
 
     @cached_property
     def _knots(self) -> np.ndarray:

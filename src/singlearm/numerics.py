@@ -1,14 +1,15 @@
 """Deterministic numerical kernels shared by the design, analysis, and
-simulation layers: adaptive quadrature with declared breakpoints, bracketed
-root finding, the standard-normal distribution, and seeded RNG substreams.
+simulation layers: adaptive quadrature of several integrands at once on
+shared array nodes, with declared breakpoints; bracketed root finding; the
+standard-normal distribution; and seeded RNG substreams.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 from scipy import optimize as _scipy_optimize
 from scipy import special as _scipy_special
 
@@ -22,16 +23,30 @@ __all__ = [
     "substream",
 ]
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_MAX_SUBINTERVALS = 200
+
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     breakpoints: Iterable[float] = (),
-) -> float:
-    """Integrate ``f`` over ``[lo, hi]`` with adaptive Gauss-Kronrod quadrature
-    to an absolute error of 1e-10 or a relative error of 1e-9, in at most 200
-    subintervals.
+) -> float | np.ndarray:
+    """Integrate ``f`` over ``[lo, hi]`` with an adaptive 10-point
+    Gauss-Legendre rule to an estimated absolute error of 1e-13 or relative
+    error of 1e-12, in at most 200 subintervals.
+
+    ``f`` maps a 1-D array of nodes to one row of values per integrand, or
+    to a 1-D array for a single integrand; the result holds one value per
+    row, a float for a 1-D ``f``. Each row is refined on its own, and its
+    accepted pieces are summed exactly, so its value does not depend on the
+    rows beside it. A row is finished once the differences between the rule
+    on each interval and on its two halves sum to its tolerance at most;
+    until then, an interval whose difference is within its share of the
+    tolerance, in proportion to its width, is accepted, and the others are
+    halved. That difference bounds the error of the halves about as closely
+    as asked, so the tolerance is set where design numbers keep 12 digits.
 
     ``breakpoints`` declares interior points where the integrand kinks; the
     interval is split there before adaptive refinement, so piecewise-smooth
@@ -40,33 +55,60 @@ def integrate(
     Raises
     ------
     QuadratureError
-        If that accuracy is not reached within 200 subintervals; the partial
-        estimate is attached to the exception.
+        If a row needs more than 200 subintervals.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError("integration bounds must be finite")
     if lo > hi:
         raise DomainError(f"integration bounds out of order: [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-    interior = sorted({float(b) for b in breakpoints if lo < b < hi})
-    result = _scipy_integrate.quad(
-        f,
-        lo,
-        hi,
-        points=interior or None,
-        epsabs=1e-10,
-        epsrel=1e-9,
-        limit=200,
-        full_output=1,
-    )
-    # quad appends an explanatory message exactly when it could not converge
-    if len(result) > 3:
-        raise QuadratureError(
-            f"quadrature did not converge on [{lo}, {hi}]: {result[3]}",
-            partial_estimate=float(result[0]),
-        )
-    return float(result[0])
+    edges = np.array([lo, *sorted({float(b) for b in breakpoints if lo < b < hi}), hi], dtype=float)
+    a, b = edges[:-1], edges[1:]
+    whole, ndim = _rule(f, a, b)
+    span = (hi - lo) or 1.0  # a zero-width interval integrates to zero at once
+    active = np.ones(whole.shape, dtype=bool)
+    subintervals = np.full(len(whole), len(a))
+    values, errors = [], []
+    while True:
+        mid = (a + b) / 2
+        estimates, _ = _rule(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = np.split(estimates, 2, axis=-1)
+        halves = left + right
+        error = np.abs(halves - whole)
+        tol = np.maximum(1e-13, 1e-12 * np.abs(_row_sums(*values, np.where(active, halves, 0.0))))
+        finished = _row_sums(*errors, np.where(active, error, 0.0)) <= tol
+        done = active & (finished[:, None] | (error <= tol[:, None] * ((b - a) / span)))
+        values.append(np.where(done, halves, 0.0))
+        errors.append(np.where(done, error, 0.0))
+        active &= ~done
+        subintervals += active.sum(axis=-1)
+        if subintervals.max() > _MAX_SUBINTERVALS:
+            raise QuadratureError(
+                f"quadrature did not converge on [{lo}, {hi}] within {_MAX_SUBINTERVALS} subintervals"
+            )
+        split = active.any(axis=0)
+        if not split.any():
+            break
+        whole = np.concatenate([left[:, split], right[:, split]], axis=-1)
+        active = np.tile(active[:, split], 2)
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+    result = _row_sums(*values)
+    return float(result[0]) if ndim == 1 else result
+
+
+def _row_sums(*pieces: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row across the pieces, whatever their
+    order or the zeros between them."""
+    return np.array([math.fsum(row) for row in np.concatenate(pieces, axis=-1)])
+
+
+def _rule(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Gauss-Legendre rule on each interval [a_i, b_i], one row of
+    estimates per integrand, and the number of dimensions of f's values."""
+    half = (b - a) / 2
+    nodes = (a + half)[:, None] + half[:, None] * _GL_NODES
+    values = np.asarray(f(nodes.ravel()), dtype=float)
+    estimates = (values.reshape(-1, *nodes.shape) * _GL_WEIGHTS).sum(axis=-1) * half
+    return estimates, values.ndim
 
 
 def find_root(

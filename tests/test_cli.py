@@ -472,6 +472,41 @@ def test_bad_config_rejected(tmp_path, capsys, command, text, named):
     assert captured.out == ""
 
 
+def with_value(text, key, value):
+    """The config with ``key`` set to the YAML scalar ``value``."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key}:")]
+    return "\n".join([*lines, f"{key}: {value}"]) + "\n"
+
+
+NON_FINITE_KEYS = [
+    ("design", DESIGN_YAML, key)
+    for key in ("follow_up", "accrual_length", "accrual_exponent", "null_median", "hazard_ratio",
+                "dropout_hazard", "dropout_rate_yearly", "alpha")
+] + [
+    ("analyze", ANALYZE_YAML, key) for key in ("analysis_time", "null_median", "fixed_weight", "alpha")
+] + [
+    ("simulate", SIMULATE_YAML, key)
+    for key in ("follow_up", "accrual_length", "null_median", "hazard_ratio_truth", "dropout_hazard")
+]
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+@pytest.mark.parametrize(
+    "command, text, key", NON_FINITE_KEYS, ids=[f"{command}-{key}" for command, _, key in NON_FINITE_KEYS]
+)
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, command, text, key, value):
+    cfg = put(tmp_path, "run.yaml", with_value(text, key, value))
+    extra = {
+        "design": [],
+        "analyze": ["--data", put(tmp_path, "trial.csv", SUBJECT_CSV)],
+        "simulate": ["--replications", "20", "--workers", "1"],
+    }[command]
+    assert main([command, "--config", cfg, *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"config key '{key}' must be a finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_context_keys_rejected_before_the_data_is_read(tmp_path, capsys):
     cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML + "dropout_hazard: 0.1\n")
     code = main(["analyze", "--config", cfg, "--data", str(tmp_path / "missing.csv")])
@@ -506,7 +541,7 @@ class TestPresetRuns:
     # any change to the engine, the stream keys or the row shape changes
     # these digests
     FIGURE1_DIGEST = "8db0518606625dc3b8ff0c61135267d82ac370911b98f65de55d884e98e6ea50"
-    TABLE2_DIGEST = "82b885b1f3f24f54b68c298151eeae4825e3bbf71a1e36b06d1fcf73a4563ce7"
+    TABLE2_DIGEST = "64fa953064164828d4420d4804feb7934004d9462f3ec3dfbb3a8657ec4a9a53"
 
     def test_figure1_rows_to_csv(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from scipy import integrate as scipy_integrate
 
 from singlearm import design
 from singlearm.design import (
@@ -33,6 +34,7 @@ from singlearm.models import (
     ExponentialDropout,
     NoDropout,
     PiecewiseExponential,
+    PowerAccrual,
     UniformAccrual,
     Weibull,
     dropout_from_yearly_rate,
@@ -199,6 +201,111 @@ class TestNullWeight:
             assert -1e-9 <= w1 <= 1.0 + 1e-9
 
 
+def quad_over_cum_hazard(model, censoring, kinks, integrand):
+    """Test-only oracle: QUADPACK on a scalar integrand(S_U(s), s, u) over
+    u = Lambda(s), at a tolerance well below the design rule's."""
+
+    def f(u):
+        s = float(model.inverse_cum_hazard(u))
+        return integrand(float(censoring.survival_u(s)), s, u)
+
+    hi = float(model.cum_hazard(censoring.analysis_time))
+    points = sorted({float(model.cum_hazard(k)) for k in kinks if 0.0 < k < censoring.analysis_time})
+    return scipy_integrate.quad(f, 0.0, hi, points=points or None, epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+
+
+def exp_j(kappa, accrual, follow_up):
+    """int_0^t F_Y((t - s)+) e^(-kappa s) ds under uniform accrual."""
+    t = accrual + follow_up
+    return 1.0 / kappa - (math.exp(-kappa * follow_up) - math.exp(-kappa * t)) / (accrual * kappa**2)
+
+
+def exp_minus_dj(kappa, accrual, follow_up):
+    """int_0^t s F_Y((t - s)+) e^(-kappa s) ds, the negated kappa-derivative of exp_j."""
+    t = accrual + follow_up
+    ef, et = math.exp(-kappa * follow_up), math.exp(-kappa * t)
+    return (
+        1.0 / kappa**2
+        + (t * et - follow_up * ef) / (accrual * kappa**2)
+        - 2.0 * (ef - et) / (accrual * kappa**3)
+    )
+
+
+LAWS = st.one_of(
+    st.builds(Weibull, st.floats(0.3, 3.0), st.floats(0.5, 10.0)),
+    st.integers(1, 3).flatmap(
+        lambda k: st.builds(
+            PiecewiseExponential,
+            st.lists(st.floats(0.2, 5.0), min_size=k, max_size=k, unique=True).map(lambda b: tuple(sorted(b))),
+            st.lists(st.floats(0.05, 1.0), min_size=k + 1, max_size=k + 1).map(tuple),
+        )
+    ),
+)
+
+
+class TestQuadratureOracles:
+    # relative 1e-10, or the rule's absolute floor of 1e-13 for small integrals
+    TOL = dict(rel=1e-10, abs=1e-13)
+
+    @given(
+        LAWS,
+        st.floats(1.1, 2.5),
+        st.floats(1.0, 5.0),
+        st.floats(0.5, 3.0),
+        st.floats(0.5, 2.0),
+        st.floats(0.0, 0.3),
+    )
+    @hyp_settings(max_examples=15, deadline=None)
+    def test_moments_and_null_weight_match_quadpack(self, null, delta, accrual, follow_up, exponent, dropout):
+        alt = hazard_ratio_alternative(null, delta)
+        cens = CensoringModel(
+            PowerAccrual(accrual, exponent), dropout_from_yearly_rate(dropout), accrual + follow_up
+        )
+        kinks = (*cens.breakpoints, *null.kinks)
+        lam0 = lambda s: float(null.cum_hazard(s))
+        s_alt = lambda s: float(alt.survival(s))
+        mom = moments(null, alt, cens)
+        assert mom.v1 == pytest.approx(
+            quad_over_cum_hazard(alt, cens, kinks, lambda su, s, u: su * math.exp(-u)), **self.TOL)
+        assert mom.v01 == pytest.approx(
+            quad_over_cum_hazard(alt, cens, kinks, lambda su, s, u: su * lam0(s) * math.exp(-u)), **self.TOL)
+        assert mom.v0 == pytest.approx(
+            quad_over_cum_hazard(null, cens, kinks, lambda su, s, u: su * s_alt(s)), **self.TOL)
+        assert mom.v00 == pytest.approx(
+            quad_over_cum_hazard(null, cens, kinks, lambda su, s, u: su * s_alt(s) * u), **self.TOL)
+        rate = quad_over_cum_hazard(null, cens, kinks, lambda su, s, u: su * math.exp(-u))
+        numerator = quad_over_cum_hazard(null, cens, kinks, lambda su, s, u: su * u * math.exp(-u))
+        # the numerator's absolute floor, carried through the division
+        assert weight_uncorrelated_null(null, cens) == pytest.approx(numerator / rate, rel=1e-10, abs=1e-13 / rate)
+
+    @given(
+        st.floats(0.1, 2.0),
+        st.floats(1.1, 2.5),
+        st.floats(1.0, 5.0),
+        st.floats(0.5, 3.0),
+        st.floats(0.0, 0.3),
+    )
+    @hyp_settings(max_examples=40, deadline=None)
+    def test_exponential_laws_match_closed_forms(self, rate, delta, accrual, follow_up, dropout):
+        # with kappa the event plus dropout hazard, every integral is
+        # J(kappa) = int F_Y((t - s)+) e^(-kappa s) ds or -J'(kappa)
+        null, alt = Exponential(rate), Exponential(rate / delta)
+        dropout_model = dropout_from_yearly_rate(dropout)
+        hazard = 0.0 if dropout == 0.0 else dropout_model.hazard
+        cens = CensoringModel(UniformAccrual(accrual), dropout_model, accrual + follow_up)
+        kappa_null, kappa_alt = rate + hazard, alt.rate + hazard
+        j_null, j_alt = exp_j(kappa_null, accrual, follow_up), exp_j(kappa_alt, accrual, follow_up)
+        mj_alt = exp_minus_dj(kappa_alt, accrual, follow_up)
+        mom = moments(null, alt, cens)
+        assert mom.v1 == pytest.approx(alt.rate * j_alt, **self.TOL)
+        assert mom.v0 == pytest.approx(rate * j_alt, **self.TOL)
+        assert mom.v01 == pytest.approx(alt.rate * rate * mj_alt, **self.TOL)
+        assert mom.v00 == pytest.approx(rate**2 * mj_alt, **self.TOL)
+        assert expected_event_rate(null, cens) == pytest.approx(rate * j_null, **self.TOL)
+        w0 = rate * exp_minus_dj(kappa_null, accrual, follow_up) / j_null
+        assert weight_uncorrelated_null(null, cens) == pytest.approx(w0, rel=1e-10, abs=1e-13 / (rate * j_null))
+
+
 class TestSampleSize:
     def test_case_study_all_policies(self):
         for kind, (n_expected, *_rest) in CASE_STUDY.items():
@@ -209,9 +316,15 @@ class TestSampleSize:
         assert unc.achieved_power >= 0.8
         assert unc.analysis_time == 8.0
 
-    def test_uncorrelated_alt_integrates_the_moments_once(self, monkeypatch):
-        # its weight comes from the moments every design integrates anyway,
-        # so it costs no quadrature beyond a fixed-weight design's
+    @pytest.mark.parametrize(
+        "policy",
+        [WeightPolicy(kind) for kind in ("compensator", "counting", "wu", "uncorrelated_null",
+                                          "uncorrelated_alt", "combined")] + [WeightPolicy.fixed(0.3)],
+        ids=lambda policy: policy.label,
+    )
+    def test_two_quadratures_per_design(self, policy, monkeypatch):
+        # one quadrature over each law's cumulative hazard gives every
+        # planning integral, whatever the policy
         calls = []
 
         def counting_integrate(*args, **kwargs):
@@ -219,30 +332,18 @@ class TestSampleSize:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(design, "integrate", counting_integrate)
-        sample_size(case_study_spec(WeightPolicy.compensator()))
-        fixed_calls = len(calls)
-        sample_size(case_study_spec(WeightPolicy.uncorrelated_alt()))
-        assert len(calls) == 2 * fixed_calls
-
-    def test_null_weight_designs_reuse_its_denominator(self, monkeypatch):
-        # the uncorrelated_null weight's denominator is the reference event
-        # rate the result reports, so the weight costs one quadrature more
-        calls = []
-
-        def counting_integrate(*args, **kwargs):
-            calls.append(1)
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(design, "integrate", counting_integrate)
-        sample_size(case_study_spec(WeightPolicy.compensator()))
-        fixed_calls = len(calls)
-        for kind in ("uncorrelated_null", "combined"):
-            calls.clear()
-            spec = case_study_spec(WeightPolicy(kind))
-            result = sample_size(spec)
-            assert len(calls) == fixed_calls + 1, kind
-            censoring = spec.censoring_at(spec.accrual_length)
-            assert result.expected_event_rate_null == expected_event_rate(spec.null_model, censoring)
+        spec = case_study_spec(policy)
+        result = sample_size(spec)
+        assert len(calls) == 2
+        # the public functions return exactly the bits that the design reports
+        null, alt = spec.null_model, spec.resolved_alternative()
+        censoring = spec.censoring_at(spec.accrual_length)
+        assert result.expected_event_rate_null == expected_event_rate(null, censoring)
+        assert result.expected_event_rate_alt == expected_event_rate(alt, censoring)
+        assert result.moments == moments(null, alt, censoring)
+        assert result.weight_used == resolve_weight(policy, null, alt, censoring)
+        if policy.kind == "uncorrelated_null":
+            assert result.weight_used == weight_uncorrelated_null(null, censoring)
 
     def test_benchmark_anchor_cell(self):
         expected = {"compensator": 29, "counting": 18, "wu": 24, "uncorrelated_null": 22}
@@ -439,16 +540,16 @@ class TestGoldenDesigns:
     # n, weight, accrual length, analysis time, v1, v0, v01, v00,
     # event rate under the reference law, under the alternative, achieved power
     LIVER_MOMENTS = (
-        0.19493982736142546, 0.34114469788249463, 0.03901880288223658, 0.06828290504391402,
+        0.19493982736142546, 0.3411446978824946, 0.039018802882236574, 0.068282905043914,
         0.3136293608279162, 0.19493982736142546,
     )
     LIVER = {
-        "compensator": (113, 0.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8022888467654373),
-        "counting": (76, 1.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8021792370999916),
-        "wu": (95, 0.5, 5.0, 8.0, *LIVER_MOMENTS, 0.8028016717284675),
-        "uncorrelated_null": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064527),
-        "uncorrelated_alt": (106, 0.20539250131515494, 5.0, 8.0, *LIVER_MOMENTS, 0.803807083285416),
-        "combined": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064527),
+        "compensator": (113, 0.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8022888467654371),
+        "counting": (76, 1.0, 5.0, 8.0, *LIVER_MOMENTS, 0.8021792370999913),
+        "wu": (95, 0.5, 5.0, 8.0, *LIVER_MOMENTS, 0.8028016717284672),
+        "uncorrelated_null": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064522),
+        "uncorrelated_alt": (106, 0.20539250131515494, 5.0, 8.0, *LIVER_MOMENTS, 0.8038070832854156),
+        "combined": (106, 0.1923290432951066, 5.0, 8.0, *LIVER_MOMENTS, 0.8018767600064522),
     }
 
     @pytest.mark.parametrize("kind", sorted(LIVER))
@@ -466,9 +567,9 @@ class TestGoldenDesigns:
             dropout=dropout_from_yearly_rate(0.2),
         )
         assert design_fields(sample_size(spec)) == (
-            147, 0.3708684252669357, 3.0, 4.0,
-            0.2788091196996141, 0.41821367954942096, 0.09483277793514676, 0.14224916690272013,
-            0.3750915825436038, 0.2788091196996141, 0.8012807501395838,
+            147, 0.3708684252665359, 3.0, 4.0,
+            0.2788091196995059, 0.41821367954925887, 0.09483277793501092, 0.14224916690251638,
+            0.3750915825434418, 0.2788091196995059, 0.8012807501394194,
         )
 
     def test_piecewise_exponential(self):
@@ -481,9 +582,9 @@ class TestGoldenDesigns:
             dropout=dropout_from_yearly_rate(0.1),
         )
         assert design_fields(sample_size(spec)) == (
-            78, 0.38574206660201715, 2.5, 4.5,
-            0.3839613192335872, 0.6143381107737393, 0.15959709631271612, 0.2553553541003459,
-            0.5286535328520386, 0.3839613192335872, 0.8021475603760939,
+            78, 0.3857420666019215, 2.5, 4.5,
+            0.38396131923439286, 0.6143381107750286, 0.15959709631301147, 0.2553553541008183,
+            0.5286535328528438, 0.38396131923439286, 0.8021475603769405,
         )
 
     def test_accrual_rate_solve(self):
@@ -495,13 +596,13 @@ class TestGoldenDesigns:
             accrual_rate=21.2,
         )
         assert design_fields(solve_accrual_length(spec)) == (
-            106, 0.19200667202308805, 4.985640948344435, 7.985640948344435,
-            0.1946656312916765, 0.34066485476043395, 0.03889489194853394, 0.0680660609099344,
-            0.31323363303455104, 0.1946656312916765, 0.8012539013274119,
+            106, 0.19200667202308808, 4.985640948344437, 7.985640948344437,
+            0.19466563129167652, 0.34066485476043395, 0.038894891948533954, 0.06806606090993442,
+            0.3132336330345511, 0.19466563129167652, 0.8012539013274117,
         )
 
     def test_power(self):
-        assert power(case_study_spec(WeightPolicy.combined()), 90) == 0.7267088225183714
+        assert power(case_study_spec(WeightPolicy.combined()), 90) == 0.7267088225183711
 
 
 class TestSuggestPolicy:
