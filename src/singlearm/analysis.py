@@ -249,8 +249,8 @@ def run_test(
             f"variance estimate is zero (N={n_events}, A0={a0:.6g}, w={w:.6g})"
         )
     z = (n_events - a0) / math.sqrt(variance)
-    p_left = float(normal_cdf(z))
-    p_two = 2.0 * float(normal_cdf(-abs(z)))
+    p_left = normal_cdf(z)
+    p_two = 2.0 * normal_cdf(-abs(z))
     z_crit = normal_quantile(1.0 - alpha / 2.0)
     reject_left = z <= -z_crit
     reject_right = z >= z_crit

@@ -406,7 +406,7 @@ def _power_at(mom: MomentSet, w: float, n: float, alpha: float) -> float:
     z_alpha = normal_quantile(1.0 - alpha / 2.0)
     sbar = math.sqrt(mom.sigma_bar_sq(w))
     sigma = math.sqrt(mom.sigma_sq)
-    return float(normal_cdf((math.sqrt(n) * abs(mom.omega) - sbar * z_alpha) / sigma))
+    return normal_cdf((math.sqrt(n) * abs(mom.omega) - sbar * z_alpha) / sigma)
 
 
 def _ceil_with_slack(x: float) -> int:

@@ -1,17 +1,19 @@
 """Deterministic numerical kernels shared by the design, analysis, and
 simulation layers: adaptive quadrature of several integrands at once on
-shared array nodes, with declared breakpoints; bracketed root finding; the
-standard-normal distribution; and seeded RNG substreams.
+shared array nodes, with declared breakpoints; bracketed root finding by
+Brent's method, which stops once half the bracket is below
+``(abs_tol + 4 eps |x|) / 2``; the standard-normal distribution from the
+standard library; and seeded RNG substreams.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import optimize as _scipy_optimize
-from scipy import special as _scipy_special
 
 from .errors import BracketError, DomainError, NumericalError, QuadratureError
 
@@ -25,6 +27,9 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _MAX_SUBINTERVALS = 200
+_MAX_ROOT_ITERATIONS = 200
+_ROOT_REL_TOL = 4 * sys.float_info.epsilon
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def integrate(
@@ -117,11 +122,15 @@ def find_root(
     hi: float,
     abs_tol: float = 1e-9,
 ) -> float:
-    """Locate a root of ``g`` inside the bracket ``[lo, hi]`` to within
-    ``abs_tol``, in at most 200 iterations.
+    """Locate a root of ``g`` inside the bracket ``[lo, hi]`` by Brent's
+    method (Brent 1973), in at most 200 iterations.
 
-    Uses a safeguarded inverse-quadratic/bisection hybrid, so convergence is
-    guaranteed whenever the bracket encloses a sign change.
+    Each step tries a secant or inverse quadratic interpolation step and
+    bisects instead when that step would not shrink the bracket fast enough,
+    so convergence is guaranteed whenever the bracket encloses a sign
+    change. It stops at the bracket end x where ``|g|`` is smaller once half
+    the bracket is below ``(abs_tol + 4 eps |x|) / 2``, and returns x. Each
+    bracket end is evaluated once.
 
     Raises
     ------
@@ -132,50 +141,66 @@ def find_root(
     """
     if not lo < hi:
         raise DomainError(f"bracket out of order: [{lo}, {hi}]")
-    g_lo = float(g(lo))
-    g_hi = float(g(hi))
-    if g_lo == 0.0:
-        return float(lo)
-    if g_hi == 0.0:
-        return float(hi)
-    if g_lo * g_hi > 0.0:
+    x_pre, x_cur = float(lo), float(hi)
+    f_pre, f_cur = float(g(x_pre)), float(g(x_cur))
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if not (f_pre < 0.0 < f_cur or f_cur < 0.0 < f_pre):
         raise BracketError(
-            f"no sign change on [{lo}, {hi}]: g(lo)={g_lo:.6g}, g(hi)={g_hi:.6g}"
+            f"no sign change on [{lo}, {hi}]: g(lo)={f_pre:.6g}, g(hi)={f_cur:.6g}"
         )
-    root, info = _scipy_optimize.brentq(
-        g,
-        lo,
-        hi,
-        xtol=abs_tol,
-        maxiter=200,
-        full_output=True,
-        disp=False,
+    # x_cur is the best point, x_blk the other end of the bracket and x_pre
+    # the previous point; s_cur and s_pre are the last two steps
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_MAX_ROOT_ITERATIONS):
+        if f_pre < 0.0 < f_cur or f_cur < 0.0 < f_pre:
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (abs_tol + _ROOT_REL_TOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = None
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+        if s_try is not None and 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0 else -delta)
+        f_cur = float(g(x_cur))
+    raise NumericalError(
+        f"root finding did not converge within {_MAX_ROOT_ITERATIONS} iterations"
     )
-    if not info.converged:
-        raise NumericalError(
-            "root finding did not converge within 200 iterations"
-        )
-    return float(root)
 
 
-def normal_cdf(x):
+def normal_cdf(x: float) -> float:
     """Standard-normal distribution function, accurate to double precision."""
-    return _scipy_special.ndtr(x)
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def normal_quantile(p):
+def normal_quantile(p: float) -> float:
     """Standard-normal quantile function; inverse of :func:`normal_cdf`.
 
     Raises
     ------
     DomainError
-        If any probability lies outside the open interval (0, 1).
+        If the probability lies outside the open interval (0, 1).
     """
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    if not 0.0 < p < 1.0:
         raise DomainError("normal_quantile requires probabilities in (0, 1)")
-    out = _scipy_special.ndtri(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:

@@ -5,6 +5,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 import types
 from datetime import datetime, timedelta
@@ -535,6 +538,25 @@ def test_report_envelope_fills_tool_version_and_timestamp():
     env = ReportEnvelope(command="design", config={}, results={}, warnings=[])
     assert (env.tool, env.version) == ("singlearm", singlearm.__version__)
     assert datetime.fromisoformat(env.timestamp).utcoffset() == timedelta(0)
+
+
+def test_design_command_loads_no_scipy():
+    # scipy is a test-only dependency: the package and a design run must not
+    # import it, in a fresh interpreter where no test has imported it first
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent(
+        """
+        import sys
+        import singlearm
+        from singlearm import cli
+        status = cli.main(["design", "--config", "configs/design_pbc.yaml"])
+        print(status, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 class TestPresetRuns:
