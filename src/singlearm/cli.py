@@ -556,13 +556,10 @@ def _print_envelope(env: ReportEnvelope) -> None:
 
 
 def _write_output(env: ReportEnvelope, out_path: str) -> None:
-    rows = env.results.get("rows") if isinstance(env.results, dict) else None
     if out_path.endswith(".csv"):
-        if rows is None:
-            raise ConfigError("CSV output is only available for row-shaped results")
-        fieldnames = list(rows[0].keys())
+        rows = env.results["rows"]
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         return
@@ -585,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="flat YAML config file")
-    common.add_argument("--out", help="write the report (JSON, or CSV for row output)")
+    common.add_argument("--out", help="write the report (JSON, or CSV for the rows of a simulate preset)")
 
     sub.add_parser("design", parents=[common], help="compute sample size and weight")
 
@@ -608,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError(f"cannot write report {args.out}: no such directory")
         config = _load_config(args.config)
+        preset_rows = args.command == "simulate" and config.get("preset") is not None
+        if args.out and args.out.endswith(".csv") and not preset_rows:
+            raise ConfigError("CSV output is only available for the rows of a simulate preset")
         if args.command == "design":
             env = cmd_design(config)
         elif args.command == "analyze":

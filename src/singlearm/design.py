@@ -8,18 +8,20 @@ for the standardized statistic
     z = (N(t) - A0(t)) / sqrt(w N(t) + (1 - w) A0(t)).
 
 Every planning integral (moments, event rates, the uncorrelated-null
-weight) is a row of one of two quadratures per design, one per law, on
-shared nodes: each runs over that law's cumulative hazard, substituting
-u = Lambda(s), at the fixed accuracy of ``numerics.integrate``. The
-substitution removes the hazard singularity that Weibull laws with shape
-below one have at zero and leaves bounded, nearly smooth integrands.
+weight) is a row of one of two quadratures, one per law, on shared nodes:
+each runs over that law's cumulative hazard, substituting u = Lambda(s),
+at the fixed accuracy of ``numerics.integrate``. The substitution removes
+the hazard singularity that Weibull laws with shape below one have at zero
+and leaves bounded, nearly smooth integrands. A plan is the censoring at
+one accrual length with both quadratures under it; every policy's weight,
+sample size and power at that length read the one plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -414,37 +416,40 @@ def _ceil_with_slack(x: float) -> int:
     return int(math.ceil(x - 1e-9))
 
 
-def _design_pieces(spec: DesignSpec, accrual_length: float):
-    """Censoring, moments, weight and reference event rate at the given
-    accrual length."""
+class _Plan(NamedTuple):
+    """The censoring at one accrual length and, under it, the ``_integrals``
+    of both laws, which every policy's weight, n and power there read."""
+
+    censoring: CensoringModel
+    integrals: tuple[float, float, MomentSet]
+
+    def weight(self, policy: WeightPolicy) -> float:
+        return _weight(policy, lambda: self.integrals)
+
+
+def _plan(spec: DesignSpec, accrual_length: float) -> _Plan:
     censoring = spec.censoring_at(accrual_length)
-    integrals = _integrals(spec.null_model, spec.resolved_alternative(), censoring)
-    rate_null, _, mom = integrals
-    return censoring, mom, _weight(spec.weight_policy, lambda: integrals), rate_null
+    return _Plan(censoring, _integrals(spec.null_model, spec.resolved_alternative(), censoring))
 
 
-def _build_result(
-    spec: DesignSpec,
-    accrual_length: float,
-    n: int,
-    censoring: CensoringModel,
-    mom: MomentSet,
-    w: float,
-    rate_null: float,
-) -> DesignResult:
+def _design(spec: DesignSpec, plan: _Plan, policy: WeightPolicy, n: int | None = None) -> DesignResult:
+    """The design of ``policy`` on ``plan``; ``n`` defaults to the smallest
+    sample size reaching power 1 - beta."""
+    rate_null, _, mom = plan.integrals
+    w = plan.weight(policy)
+    if n is None:
+        n = max(1, _ceil_with_slack(_required_n(mom, w, spec.alpha, spec.beta)))
     if n > spec.sample_size_cap:
-        raise CapExceededError(
-            f"required sample size {n} exceeds the cap of {spec.sample_size_cap}"
-        )
+        raise CapExceededError(f"required sample size {n} exceeds the cap of {spec.sample_size_cap}")
     return DesignResult(
         n=n,
         weight_used=w,
-        accrual_length=accrual_length,
-        analysis_time=censoring.analysis_time,
+        accrual_length=plan.censoring.accrual.length,
+        analysis_time=plan.censoring.analysis_time,
         moments=mom,
         expected_event_rate_null=rate_null,
         expected_event_rate_alt=mom.v1,
-        policy=spec.weight_policy,
+        policy=policy,
         achieved_power=_power_at(mom, w, n, spec.alpha),
     )
 
@@ -459,9 +464,7 @@ def sample_size(spec: DesignSpec) -> DesignResult:
         raise ConfigError(
             "sample_size needs accrual_length; use solve_accrual_length for accrual_rate designs"
         )
-    censoring, mom, w, rate_null = _design_pieces(spec, spec.accrual_length)
-    n = max(1, _ceil_with_slack(_required_n(mom, w, spec.alpha, spec.beta)))
-    return _build_result(spec, spec.accrual_length, n, censoring, mom, w, rate_null)
+    return _design(spec, _plan(spec, spec.accrual_length), spec.weight_policy)
 
 
 def solve_accrual_length(spec: DesignSpec) -> DesignResult:
@@ -469,16 +472,19 @@ def solve_accrual_length(spec: DesignSpec) -> DesignResult:
 
     With rate r, recruiting for a years supplies n = r a subjects while the
     requirement n_req(a) falls as the horizon grows; the solved a equates
-    the two. The search runs over (0, max_accrual_length].
+    the two. The search runs over (0, max_accrual_length] and plans each
+    accrual length it tries once.
     """
     if spec.accrual_rate is None:
         raise ConfigError("solve_accrual_length needs accrual_rate")
     r = spec.accrual_rate
+    plans: dict[float, _Plan] = {}
 
     def gap(a: float) -> float:
+        plan = plans[a] = plans.get(a) or _plan(spec, a)
         try:
-            _, mom, w, _ = _design_pieces(spec, a)
-            required = _required_n(mom, w, spec.alpha, spec.beta)
+            w = plan.weight(spec.weight_policy)
+            required = _required_n(plan.integrals[2], w, spec.alpha, spec.beta)
         except InfeasibleDesignError:
             # no detectable effect at this horizon: treat as unbounded demand
             required = 1e18
@@ -496,10 +502,10 @@ def solve_accrual_length(spec: DesignSpec) -> DesignResult:
         lo *= 0.5
         if lo < 1e-9:
             raise InfeasibleDesignError("supply exceeds demand even for vanishing accrual windows")
+    # find_root evaluates lo and hi again and returns a point it evaluated:
+    # all are plans kept in ``plans``
     solved = find_root(gap, lo, hi, _ACCRUAL_ROOT_TOL)
-    censoring, mom, w, rate_null = _design_pieces(spec, solved)
-    n = max(1, _ceil_with_slack(r * solved))
-    return _build_result(spec, solved, n, censoring, mom, w, rate_null)
+    return _design(spec, plans[solved], spec.weight_policy, max(1, _ceil_with_slack(r * solved)))
 
 
 def power(spec: DesignSpec, n: int) -> float:
@@ -508,8 +514,8 @@ def power(spec: DesignSpec, n: int) -> float:
         raise DomainError("sample size must be at least 1")
     if spec.accrual_length is None:
         raise ConfigError("power needs a spec with a fixed accrual_length")
-    _, mom, w, _ = _design_pieces(spec, spec.accrual_length)
-    return _power_at(mom, w, n, spec.alpha)
+    plan = _plan(spec, spec.accrual_length)
+    return _power_at(plan.integrals[2], plan.weight(spec.weight_policy), n, spec.alpha)
 
 
 def suggest_policy(event_rate_null: float) -> str:

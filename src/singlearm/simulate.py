@@ -1,11 +1,14 @@
 """Monte Carlo engine for operating characteristics.
 
-Replications are partitioned into fixed-size blocks; block ``b`` draws all
-of its randomness from the counter-based stream keyed by
-``(master_seed, b)`` (``(master_seed, (k << 32) | b)`` for the k-th sample
-size of a weight sweep), and aggregation is plain integer counting. Both
-choices are what make a run's results bit-identical no matter how the
-blocks are distributed over worker processes.
+Replications are partitioned into fixed-size blocks, each drawing all of
+its randomness from one counter-based stream, and aggregation is plain
+integer counting. Both choices make a run's results bit-identical however
+the blocks are distributed over worker processes. Three stream-key
+layouts are in use: block b of a scenario is keyed ``(master_seed, b)``,
+of a weight sweep's k-th sample size ``(master_seed, (k << 32) | b)``; a
+table seeds its run k ``master_seed + k`` and the ``figure1`` preset its
+k-th target rate ``seed + k``, so calls at adjacent seeds share all but
+one run's streams (ROADMAP item 1).
 
 Each public function lists its runs (a scenario with resolved weights and
 a stream base) and makes one kernel call, ``_tally``, which deals every
@@ -36,21 +39,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analysis import km_weight_from_arrays
-from .design import (
-    DesignSpec,
-    WeightPolicy,
-    resolve_weight,
-    sample_size,
-)
+from .design import DesignSpec, WeightPolicy, _design, _plan, resolve_weight
 from .errors import DomainError
 from .models import (
     CensoringModel,
     DropoutModel,
     NoDropout,
     SurvivalModel,
-    UniformAccrual,
     Weibull,
-    hazard_ratio_alternative,
 )
 from .numerics import normal_quantile, substream
 
@@ -160,8 +156,8 @@ class ScenarioSpec:
             raise DomainError("scenario needs at least one weight policy")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
-        if self.master_seed < 0:
-            raise DomainError("master seed must be non-negative")
+        if not 0 <= self.master_seed < 2**64:
+            raise DomainError("master seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -458,39 +454,33 @@ def scenario_table(
 ) -> tuple[TableCell, ...]:
     """Design each grid cell per policy, then estimate its error and power.
 
-    Every policy is simulated at its own designed sample size and weight,
-    under the reference law for the type I error and under the alternative
-    for power; run k (in that order) is seeded ``master_seed + k``. The
-    cell's policy with the left-tail error closest to the nominal alpha/2
-    is flagged ``best_alpha``.
+    A cell is planned once. Each policy is sized from that plan and
+    simulated at its own sample size and weight, under the censoring it was
+    designed for: under the reference law for the type I error and under
+    the alternative for power; run k (in that order) is seeded
+    ``master_seed + k``. The cell's policy with the left-tail error closest
+    to the nominal alpha/2 is flagged ``best_alpha``.
     """
     if not policies:
         raise DomainError("scenario table needs at least one weight policy")
-    censoring = CensoringModel(UniformAccrual(accrual_length), dropout, accrual_length + follow_up)
     designed = []
     runs = []
     for shape, median, delta in itertools.product(shapes, medians, hazard_ratios):
         null = Weibull(shape, median)
-        alternative = hazard_ratio_alternative(null, delta)
+        cell_spec = DesignSpec(
+            null_model=null, follow_up=follow_up, weight_policy=policies[0], hazard_ratio=delta,
+            accrual_length=accrual_length, dropout=dropout, alpha=alpha, beta=beta,
+        )
+        plan = _plan(cell_spec, accrual_length)
+        truths = (null, cell_spec.resolved_alternative()) if include_power else (null,)
         for policy in policies:
-            design = sample_size(
-                DesignSpec(
-                    null_model=null,
-                    follow_up=follow_up,
-                    weight_policy=policy,
-                    hazard_ratio=delta,
-                    accrual_length=accrual_length,
-                    dropout=dropout,
-                    alpha=alpha,
-                    beta=beta,
-                )
-            )
+            design = _design(cell_spec, plan, policy)
             designed.append((shape, median, delta, design))
-            for truth in (null, alternative) if include_power else (null,):
+            for truth in truths:
                 spec = ScenarioSpec(
                     truth_model=truth,
                     null_model=null,
-                    censoring=censoring,
+                    censoring=plan.censoring,
                     n=design.n,
                     policies=(policy,),
                     replications=replications,

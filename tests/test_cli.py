@@ -408,6 +408,38 @@ class TestSimulateCommand:
         out = str(tmp_path / "rows.csv")
         assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_USAGE
 
+    def test_csv_output_rejected_before_the_scenario_runs(self, tmp_path, monkeypatch):
+        def no_tally(runs, workers):
+            raise AssertionError("the scenario was simulated")
+
+        monkeypatch.setattr(simulate, "_tally", no_tally)
+        cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML)
+        out = str(tmp_path / "rows.csv")
+        assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_USAGE
+
+    def test_design_csv_output_rejected_before_the_design(self, tmp_path, capsys):
+        cfg = put(tmp_path, "design.yaml", DESIGN_YAML)
+        out = tmp_path / "design.csv"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CSV output" in captured.err
+        assert not out.exists()
+
+    def test_preset_seed_past_64_bits_rejected_before_any_draw(self, tmp_path, monkeypatch):
+        reduced = []
+        real = simulate._reduce_block
+
+        def counting(*args):
+            reduced.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_reduce_block", counting)
+        cfg = put(tmp_path, "sim.yaml", "preset: pbc\nseed: 18446744073709551615\n")
+        code = main(["simulate", "--config", cfg, "--replications", "20000", "--workers", "1"])
+        assert code == EXIT_USAGE
+        assert reduced == []
+
 
 def without(text, line):
     assert line in text

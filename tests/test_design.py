@@ -505,6 +505,28 @@ class TestSolveAccrualLength:
             )
             assert achieved >= 0.8 - 1e-6
 
+    def test_one_plan_per_accrual_length(self, monkeypatch):
+        # find_root evaluates the bracket ends again and returns a point it
+        # evaluated; those read the plans already made
+        lengths = []
+        real = design._integrals
+
+        def counting(null, alternative, censoring):
+            lengths.append(censoring.accrual.length)
+            return real(null, alternative, censoring)
+
+        monkeypatch.setattr(design, "_integrals", counting)
+        spec = DesignSpec(
+            null_model=Weibull(1.22, 9.0),
+            follow_up=3.0,
+            weight_policy=WeightPolicy.uncorrelated_null(),
+            hazard_ratio=1.75,
+            accrual_rate=21.2,
+        )
+        result = solve_accrual_length(spec)
+        assert len(lengths) == len(set(lengths)) == 8
+        assert result.accrual_length in lengths
+
     def test_rate_too_low_is_infeasible(self):
         spec = DesignSpec(
             null_model=Weibull(1.22, 9.0),

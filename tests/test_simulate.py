@@ -5,11 +5,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings as hyp_settings, strategies as st
 
-from singlearm import simulate
+from singlearm import design, simulate
 from singlearm.analysis import km_weight_from_arrays
 from singlearm.design import DesignSpec, WeightPolicy, expected_event_rate, sample_size
-from singlearm.errors import DomainError
+from singlearm.errors import DomainError, InfeasibleDesignError
 from singlearm.models import (
     CensoringModel,
     Exponential,
@@ -23,6 +24,7 @@ from singlearm.models import (
     hazard_ratio_alternative,
 )
 from singlearm.numerics import substream
+from singlearm.presets import BENCHMARK_POLICIES
 from singlearm.simulate import (
     ScenarioSpec,
     draw_trial,
@@ -32,6 +34,7 @@ from singlearm.simulate import (
 )
 
 LOG_TWO = math.log(2.0)
+DESIGN_TIME_KINDS = sorted(WeightPolicy.KINDS - {"random_km"})
 CENSORING = CensoringModel(UniformAccrual(3.0), NoDropout(), 4.0)
 
 
@@ -308,6 +311,11 @@ class TestRunScenarioTallies:
         with pytest.raises(DomainError):
             make_spec(master_seed=-1)
 
+    def test_seed_past_64_bits_rejected(self):
+        make_spec(master_seed=2**64 - 1)
+        with pytest.raises(DomainError, match=r"2\*\*64"):
+            make_spec(master_seed=2**64)
+
 
 class TestWeightSweep:
     def base(self, replications=1_500):
@@ -378,7 +386,7 @@ class TestScenarioTable:
                 )
             )
             assert cell.n == design.n
-            assert cell.weight == pytest.approx(design.weight_used, rel=1e-12)
+            assert cell.weight == design.weight_used
             assert cell.power is not None and cell.power > 0.5
         assert sum(c.best_alpha for c in cells) == 1
 
@@ -395,6 +403,61 @@ class TestScenarioTable:
     def test_empty_policy_list_rejected(self):
         with pytest.raises(DomainError):
             scenario_table((1.0,), (2.0,), (2.0,), (), replications=100)
+
+    def test_one_plan_per_cell(self, monkeypatch):
+        calls = []
+        real = design._integrals
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(design, "_integrals", counting)
+        cells = scenario_table(
+            (1.22,), (9.0,), (1.75,), BENCHMARK_POLICIES,
+            accrual_length=5.0, follow_up=3.0, replications=1, include_power=False,
+        )
+        assert [c.n for c in cells] == [113, 76, 95, 106]
+        assert len(calls) == 1
+
+    @given(
+        st.floats(0.3, 3.0),
+        st.floats(0.5, 10.0),
+        st.floats(0.3, 0.9) | st.floats(1.1, 3.0),
+        st.floats(0.5, 5.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 0.3),
+        st.lists(st.sampled_from(DESIGN_TIME_KINDS), min_size=1, max_size=7, unique=True),
+        st.floats(0.0, 1.0),
+    )
+    @hyp_settings(max_examples=40)
+    def test_cells_size_every_policy_as_sample_size_does(
+        self, shape, median, delta, accrual, follow_up, yearly_dropout, kinds, fixed
+    ):
+        policies = [WeightPolicy.fixed(fixed) if k == "fixed" else WeightPolicy(k) for k in kinds]
+        dropout = dropout_from_yearly_rate(yearly_dropout)
+        try:
+            expected = [
+                sample_size(
+                    DesignSpec(
+                        null_model=Weibull(shape, median), follow_up=follow_up, weight_policy=p,
+                        hazard_ratio=delta, accrual_length=accrual, dropout=dropout,
+                    )
+                )
+                for p in policies
+            ]
+        except InfeasibleDesignError:  # also over the cap, or degenerate
+            reject()
+        # the designs alone are compared, so nothing is simulated
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_tally", lambda runs, workers: np.zeros((len(runs), 1, 5), np.int64))
+            cells = scenario_table(
+                (shape,), (median,), (delta,), policies, accrual_length=accrual,
+                follow_up=follow_up, dropout=dropout, replications=1, include_power=False,
+            )
+        assert [(c.policy_label, c.n, c.weight) for c in cells] == [
+            (d.policy.label, d.n, d.weight_used) for d in expected
+        ]
 
     def test_deterministic(self):
         kwargs = dict(replications=600, master_seed=11, include_power=False)
