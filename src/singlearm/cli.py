@@ -57,7 +57,7 @@ from .models import (
     hazard_ratio_alternative,
 )
 from .presets import PRESETS
-from .simulate import ScenarioSpec, run_scenario
+from .simulate import STREAM_VERSION, ScenarioSpec, run_scenario
 
 __all__ = [
     "ReportEnvelope",
@@ -511,6 +511,8 @@ def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
     else:
         settings = {k: v for k, v in cfg.items() if k != "preset"}
         payload = {"rows": [_jsonify(row) for row in PRESETS[preset](**settings, workers=workers)]}
+    # the random-stream layout that the seed is read under
+    payload = {"stream_version": STREAM_VERSION, **payload}
     return ReportEnvelope(command="simulate", config=cfg, results=payload, warnings=warnings)
 
 

@@ -243,7 +243,9 @@ class DropoutModel:
     def survival(self, s):
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        """Dropout times of ``size`` subjects; a law that draws fills ``out``
+        when given."""
         raise NotImplementedError
 
 
@@ -254,7 +256,7 @@ class NoDropout(DropoutModel):
     def survival(self, s):
         return _match(s, np.ones_like(np.asarray(s, dtype=float)))
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None):
         # no randomness consumed, so stream layouts match the dropout-free
         # case; a read-only broadcast, so a block allocates nothing
         return np.inf if size is None else np.broadcast_to(np.inf, size)
@@ -273,9 +275,9 @@ class ExponentialDropout(DropoutModel):
     def survival(self, s):
         return _match(s, np.exp(-self.hazard * np.maximum(np.asarray(s, dtype=float), 0.0)))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        draws = rng.standard_exponential(size)
-        draws /= self.hazard  # in place: one block-sized array, same values
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        draws = rng.standard_exponential(size, out=out)
+        draws /= self.hazard  # in place: same values as a fresh array
         return draws
 
 

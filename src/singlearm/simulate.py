@@ -1,30 +1,32 @@
 """Monte Carlo engine for operating characteristics.
 
-Replications are partitioned into fixed-size blocks, each drawing all of
-its randomness from one counter-based stream, and aggregation is plain
-integer counting. Both choices make a run's results bit-identical however
-the blocks are distributed over worker processes. Three stream-key
-layouts are in use: block b of a scenario is keyed ``(master_seed, b)``,
-of a weight sweep's k-th sample size ``(master_seed, (k << 32) | b)``; a
-table seeds its run k ``master_seed + k`` and the ``figure1`` preset its
-k-th target rate ``seed + k``, so calls at adjacent seeds share all but
-one run's streams (ROADMAP item 1).
+Each public function lists its runs (a scenario with resolved weights)
+and makes one kernel call, ``_tally``. The runs of a call share the
+censoring, the replication count and the master seed, and one key
+layout serves every call: replications are partitioned into blocks of
+``_block_reps(n_max)`` rows of n_max subjects, n_max being the call's
+largest sample size, and block b draws all of its randomness from the
+counter-based stream ``(master_seed, b)``. A run of size n reads the
+first n subjects of every row, so a call's runs reduce prefixes of the
+same subjects: they are dependent by design (common random numbers),
+while different seeds and different calls draw from disjoint streams.
+A call with one sample size draws what stream version 1 drew. Aggregation
+is plain integer counting, so a call's results are bit-identical however
+its blocks are dealt to this process or to at most one process pool.
 
-Each public function lists its runs (a scenario with resolved weights and
-a stream base) and makes one kernel call, ``_tally``, which deals every
-(run, block) unit to this process or to at most one process pool. A block
-is reduced to each replication's event count N and compensator A0 in row
-chunks that fit in cache. Where the null and true cumulative hazards have
-a constant ratio c (the truth is the null law, or a same-shape Weibull),
-the reduction works in the null law's cumulative-hazard coordinates: with
-E a subject's unit exponential and U its censoring time, H = c E is the
-null cumulative hazard at the event time, the event is H <= K = Lambda_0(U)
-and A0 sums min(H, K), so no event time is built. Other runs, and runs
-with a ``random_km`` weight, build the event and observed times as
+A block is reduced to each run's per-replication event count N and
+compensator A0 in row chunks that fit in cache. A chunk computes the
+censoring times U once, and K = Lambda_0(U) once per null law. Where the
+null and true cumulative hazards have a constant ratio c (the truth is
+the null law, or a same-shape Weibull), a run works in the null law's
+cumulative-hazard coordinates: with E a subject's unit exponential,
+H = c E is the null cumulative hazard at the event time, the event is
+H <= K and A0 sums min(H, K), so no event time is built. Other runs, and
+runs with a ``random_km`` weight, build the event and observed times as
 ``draw_trial`` does. ``draw_trial`` is the subject-level oracle of the
 kernel. Within one replication every weight of a run sees the same
-dataset (common random numbers), so weights differ only through the
-variance denominator of the standardized statistic.
+dataset, so weights differ only through the variance denominator of the
+standardized statistic.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .models import (
 from .numerics import normal_quantile, substream
 
 __all__ = [
+    "STREAM_VERSION",
     "ScenarioSpec",
     "PolicyOutcome",
     "SimulationReport",
@@ -62,6 +65,11 @@ __all__ = [
     "weight_sweep",
     "scenario_table",
 ]
+
+# version of the random-stream contract (block keys, block shape and draw
+# order), written into every simulate report so that a report names the
+# layout its seed is read under
+STREAM_VERSION = 2
 
 # subjects per block. A block is the unit of stream keying, so these two
 # sizes are part of the reproducibility contract, not tuning knobs; the row
@@ -86,10 +94,15 @@ class TrialArrays(NamedTuple):
 
 
 def _draw_subjects(
-    censoring: CensoringModel, rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray
+    censoring: CensoringModel,
+    rng: np.random.Generator,
+    uniform: np.ndarray,
+    unit: np.ndarray,
+    dropout: np.ndarray,
 ) -> np.ndarray:
     """Fill ``uniform`` with the subjects' entry uniforms and ``unit`` with
-    their unit exponentials, then draw and return their dropout times.
+    their unit exponentials, then draw and return their dropout times (into
+    ``dropout`` when the law draws any).
 
     The draw order (entry uniforms, then unit exponentials, then dropout)
     is part of the reproducibility contract: it fixes how a stream's values
@@ -99,7 +112,7 @@ def _draw_subjects(
     """
     rng.random(out=uniform)
     rng.standard_exponential(out=unit)
-    return censoring.dropout.sample(rng, unit.shape)
+    return censoring.dropout.sample(rng, unit.shape, out=dropout)
 
 
 def _censor_time(censoring: CensoringModel, entry: np.ndarray, dropout: np.ndarray) -> np.ndarray:
@@ -116,15 +129,16 @@ def draw_trial(
 ) -> TrialArrays:
     """Sample ``reps`` independent trials of ``n`` subjects each.
 
-    This is the subject-level oracle of the Monte Carlo kernel: on the same
-    stream, the kernel's event counts are ``event.sum(axis=1)`` and its
-    compensators ``null.cum_hazard(time_on_study).sum(axis=1)``, exactly
+    This is the subject-level oracle of the Monte Carlo kernel: on the
+    stream of one block, drawn at the kernel call's largest size n_max, a
+    run of size n has the event counts ``event[:, :n].sum(axis=1)`` and the
+    compensators ``null.cum_hazard(time_on_study[:, :n]).sum(axis=1)``, exactly
     for runs that build event times and up to rounding for runs reduced in
     cumulative-hazard coordinates (where an event time within rounding of
     its censoring time may count either way).
     """
-    uniform, unit = np.empty((reps, n)), np.empty((reps, n))
-    dropout = _draw_subjects(censoring, rng, uniform, unit)
+    uniform, unit, dropout = (np.empty((reps, n)) for _ in range(3))
+    dropout = _draw_subjects(censoring, rng, uniform, unit, dropout)
     entry = censoring.accrual.quantile(uniform)
     event_time = truth.inverse_cum_hazard(unit)
     censor_time = _censor_time(censoring, entry, dropout)
@@ -206,13 +220,11 @@ _K_TWO, _K_LEFT, _K_RIGHT, _K_IND, _K_FB = range(5)
 class _Run(NamedTuple):
     """A scenario with resolved weights. A ``None`` weight is estimated per
     replication by Kaplan-Meier, with ``km_fallback`` where the data carry
-    no censoring information. Block ``b`` draws from stream
-    ``stream_base | b``."""
+    no censoring information."""
 
     spec: ScenarioSpec
     weights: tuple[float | None, ...]
     km_fallback: float | None = None
-    stream_base: int = 0
 
 
 def _null_hazard_ratio(null: SurvivalModel, truth: SurvivalModel) -> float | None:
@@ -226,90 +238,140 @@ def _null_hazard_ratio(null: SurvivalModel, truth: SurvivalModel) -> float | Non
 
 
 def _reduce_block(
-    spec: ScenarioSpec, rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray, with_times: bool
+    runs: Sequence[_Run], rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray, dropout: np.ndarray
 ):
-    """Draw one block of ``spec`` into the buffers ``uniform`` and ``unit``
-    (one row per replication) and reduce it in row chunks.
+    """Draw one block of a kernel call into the buffers ``uniform``, ``unit``
+    and ``dropout`` (one row per replication, n_max columns) and reduce every
+    run's prefix in row chunks, as the module docstring describes.
 
-    Yields, per chunk, the event counts N and compensators A0 of its rows,
-    their event indicators and, when ``with_times``, their observed times.
-    With a constant ratio c = Lambda_null / Lambda_truth and no times
-    wanted, the event is H <= K and its A0 term is min(H, K), with H = c E
-    and K = Lambda_null(U) for the unit exponential E and censoring time U;
-    otherwise the chunk is reduced from the event and observed times.
+    Yields, per chunk, its row slice and one (N, A0, events, times) per run:
+    the event counts and compensators of the run's first n subjects in each
+    row, and, for a run with a ``random_km`` weight, their event indicators
+    and observed times (else None).
     """
-    null, truth, censoring = spec.null_model, spec.truth_model, spec.censoring
-    dropout = _draw_subjects(censoring, rng, uniform, unit)
-    ratio = None if with_times else _null_hazard_ratio(null, truth)
-    step = max(1, _CHUNK_ELEMENTS // spec.n)
+    censoring = runs[0].spec.censoring
+    drawn_dropout = _draw_subjects(censoring, rng, uniform, unit, dropout)
+    ratios = [
+        None if None in run.weights else _null_hazard_ratio(run.spec.null_model, run.spec.truth_model)
+        for run in runs
+    ]
+    # K is shared by the constant-ratio runs of one null law object (a law
+    # need not be hashable): computed at their widest prefix when the first
+    # of them is reduced and dropped after the last, so a chunk holds one K
+    # at a time when a law's runs are listed together, as every caller does
+    k_width, k_last = {}, {}
+    for k, (run, ratio) in enumerate(zip(runs, ratios)):
+        if ratio is not None:
+            law = id(run.spec.null_model)
+            k_width[law], k_last[law] = max(k_width.get(law, 0), run.spec.n), k
+    step = max(1, _CHUNK_ELEMENTS // unit.shape[1])
     for start in range(0, len(unit), step):
-        rows = slice(start, start + step)
-        censor = _censor_time(censoring, censoring.accrual.quantile(uniform[rows]), dropout[rows])
-        if ratio is None:
-            event_time = truth.inverse_cum_hazard(unit[rows])
-            event = event_time <= censor
-            times = np.minimum(event_time, censor)
-            yield event.sum(axis=1), null.cum_hazard(times).sum(axis=1), event, times
-        else:
-            null_event, null_censor = ratio * unit[rows], null.cum_hazard(censor)
-            event = null_event <= null_censor
-            yield event.sum(axis=1), np.minimum(null_event, null_censor).sum(axis=1), event, None
+        rows = slice(start, min(start + step, len(unit)))
+        censor = _censor_time(censoring, censoring.accrual.quantile(uniform[rows]), drawn_dropout[rows])
+        null_censor = {}
+        reduced = []
+        for k, (run, ratio) in enumerate(zip(runs, ratios)):
+            n, null = run.spec.n, run.spec.null_model
+            if ratio is None:
+                event_time = run.spec.truth_model.inverse_cum_hazard(unit[rows, :n])
+                event = event_time <= censor[:, :n]
+                times = np.minimum(event_time, censor[:, :n], out=event_time)
+                a0 = null.cum_hazard(times).sum(axis=1)
+                reduced.append((event.sum(axis=1), a0, event, times if None in run.weights else None))
+            else:
+                law = id(null)
+                if law not in null_censor:
+                    null_censor[law] = null.cum_hazard(censor[:, :k_width[law]])
+                null_event = ratio * unit[rows, :n]
+                k_n = (null_censor.pop(law) if k_last[law] == k else null_censor[law])[:, :n]
+                event = null_event <= k_n
+                reduced.append((event.sum(axis=1), np.minimum(null_event, k_n).sum(axis=1), event, None))
+        yield rows, reduced
 
 
-def _run_blocks(runs: Sequence[_Run], units: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Tally (run, block) units for every weight of their run at once; all
-    runs carry as many weights. Returns an int64 array (runs, weights, 5)."""
-    counters = np.zeros((len(runs), len(runs[0].weights) if runs else 0, 5), dtype=np.int64)
-    for k, run_units in itertools.groupby(units, key=lambda unit: unit[0]):
-        spec, weights, km_fallback, stream_base = runs[k]
-        z_crit = normal_quantile(1.0 - spec.alpha / 2.0)
-        reps_per_block = _block_reps(spec.n)
-        km_rows = [j for j, w in enumerate(weights) if w is None]
-        w_col = np.array([0.0 if w is None else w for w in weights])[:, None]
-        # draw buffers shared by the run's blocks: fresh block-sized arrays
-        # page-fault on every block, which made the pbc preset about 15%
-        # slower (BENCH_10.json, "ablation")
-        shape = (min(reps_per_block, spec.replications), spec.n)
-        uniform, unit = np.empty(shape), np.empty(shape)
-        for _, b in run_units:
-            reps_here = min(reps_per_block, spec.replications - b * reps_per_block)
-            rng = substream(spec.master_seed, stream_base | b)
-            chunks = _reduce_block(spec, rng, uniform[:reps_here], unit[:reps_here], bool(km_rows))
-            for n_events, a0, events, times in chunks:
-                w = w_col
-                if km_rows:
-                    w = np.repeat(w_col, len(a0), axis=1)
+def _count(counters: np.ndarray, w: np.ndarray, n_events: np.ndarray, a0: np.ndarray, z_crit: float) -> None:
+    """Add the rejections and indeterminate replications of the weights
+    ``w`` (one row per weight, one column per replication, or a column
+    shared by all) to one run's counters."""
+    variance = w * n_events + (1.0 - w) * a0
+    ok = variance > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = (n_events - a0) / np.sqrt(variance)
+    n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
+    n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
+    counters[:, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
+    counters[:, _K_LEFT] += n_left
+    counters[:, _K_RIGHT] += n_right
+    counters[:, _K_IND] += n_events.shape[-1] - np.count_nonzero(ok, axis=1)
+
+
+def _run_blocks(runs: Sequence[_Run], blocks: Sequence[int]) -> np.ndarray:
+    """Tally the given blocks of a kernel call for every weight of every run
+    at once; all runs carry as many weights and share the censoring, the
+    replication count and the master seed. Block b draws from stream
+    ``(master_seed, b)``. Returns an int64 array (runs, weights, 5)."""
+    spec = runs[0].spec
+    n_max = max(run.spec.n for run in runs)
+    reps_per_block = _block_reps(n_max)
+    counters = np.zeros((len(runs), len(runs[0].weights), 5), dtype=np.int64)
+    # draw buffers shared by the call's blocks: fresh block-sized arrays
+    # page-fault on every block, which made the pbc preset about 15%
+    # slower (BENCH_10.json, "ablation")
+    rows_max = min(reps_per_block, spec.replications)
+    uniform, unit, dropout = (np.empty((rows_max, n_max)) for _ in range(3))
+    # each run's N and A0 are kept for the block and tallied once per block,
+    # not once per chunk: at figure1's n_max = 5000 a chunk holds 6 rows, and
+    # tallying per chunk made the preset about 50% slower (BENCH_20.json,
+    # "tally_ablation")
+    n_events, a0 = np.empty((len(runs), rows_max), dtype=np.int64), np.empty((len(runs), rows_max))
+    km_rows = [[j for j, w in enumerate(run.weights) if w is None] for run in runs]
+    km_weights = np.empty((len(runs), rows_max))
+    w_cols = [np.array([0.0 if w is None else w for w in run.weights])[:, None] for run in runs]
+    z_crits = [normal_quantile(1.0 - run.spec.alpha / 2.0) for run in runs]
+    # the tally's temporaries stay about as large as a reduction chunk
+    tally_step = max(1, _CHUNK_ELEMENTS // len(runs[0].weights))
+    for b in blocks:
+        reps = min(reps_per_block, spec.replications - b * reps_per_block)
+        rng = substream(spec.master_seed, b)
+        for rows, reduced in _reduce_block(runs, rng, uniform[:reps], unit[:reps], dropout[:reps]):
+            for k, (run, (n_k, a0_k, events, times)) in enumerate(zip(runs, reduced)):
+                n_events[k, rows], a0[k, rows] = n_k, a0_k
+                if km_rows[k]:
                     results = [
-                        km_weight_from_arrays(t, e, spec.null_model, km_fallback)
+                        km_weight_from_arrays(t, e, run.spec.null_model, run.km_fallback)
                         for t, e in zip(times, events)
                     ]
-                    w[km_rows] = [r.weight for r in results]
-                    counters[k, km_rows, _K_FB] += sum(r.used_fallback for r in results)
-                variance = w * n_events + (1.0 - w) * a0
-                ok = variance > 0.0
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    z = (n_events - a0) / np.sqrt(variance)
-                n_left = np.count_nonzero(ok & (z <= -z_crit), axis=1)
-                n_right = np.count_nonzero(ok & (z >= z_crit), axis=1)
-                counters[k, :, _K_TWO] += n_left + n_right  # disjoint tails: z_crit > 0
-                counters[k, :, _K_LEFT] += n_left
-                counters[k, :, _K_RIGHT] += n_right
-                counters[k, :, _K_IND] += len(a0) - np.count_nonzero(ok, axis=1)
+                    km_weights[k, rows] = [r.weight for r in results]
+                    counters[k, km_rows[k], _K_FB] += sum(r.used_fallback for r in results)
+        for k in range(len(runs)):
+            for start in range(0, reps, tally_step):
+                cols = slice(start, min(start + tally_step, reps))
+                w = w_cols[k]
+                if km_rows[k]:
+                    w = np.repeat(w, cols.stop - cols.start, axis=1)
+                    w[km_rows[k]] = km_weights[k, cols]
+                _count(counters[k], w, n_events[k, cols], a0[k, cols], z_crits[k])
     return counters
 
 
 def _tally(runs: Sequence[_Run], workers: int) -> np.ndarray:
-    """Counters of ``_run_blocks`` over every block of every run, tallied in
-    this process or dealt round-robin to one process pool of at most one
-    process per block and per CPU; integer sums make the result the same
-    either way."""
-    blocks = [math.ceil(run.spec.replications / _block_reps(run.spec.n)) for run in runs]
-    units = [(k, b) for k, n_blocks in enumerate(blocks) for b in range(n_blocks)]
-    workers = min(workers, len(units), os.cpu_count() or 1)
+    """Counters of ``_run_blocks`` over every block of a kernel call,
+    tallied in this process or dealt round-robin to one process pool of at
+    most one process per block and per CPU; integer sums make the result the
+    same either way. The runs read prefixes of the same blocks, so they must
+    share the censoring, the replication count and the master seed."""
+    if not runs:
+        return np.zeros((0, 0, 5), dtype=np.int64)
+    spec = runs[0].spec
+    shared = (spec.censoring, spec.replications, spec.master_seed)
+    if any((run.spec.censoring, run.spec.replications, run.spec.master_seed) != shared for run in runs):
+        raise ValueError("the runs of one kernel call must share censoring, replications and master seed")
+    blocks = range(math.ceil(spec.replications / _block_reps(max(run.spec.n for run in runs))))
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        return _run_blocks(runs, units)
+        return _run_blocks(runs, blocks)
     with multiprocessing.Pool(workers) as pool:
-        parts = pool.starmap(_run_blocks, [(runs, units[k::workers]) for k in range(workers)])
+        parts = pool.starmap(_run_blocks, [(runs, blocks[k::workers]) for k in range(workers)])
     return np.sum(parts, axis=0)
 
 
@@ -377,7 +439,10 @@ def weight_sweep(
 
     All weights at one sample size share the same simulated datasets, so a
     cell differs from its neighbors only through the variance denominator;
-    ``base.n`` and ``base.policies`` are ignored in favor of the grid.
+    and every sample size reads a prefix of the same subjects, drawn once at
+    the largest size under ``base.master_seed``, so the sizes' cells are
+    dependent by design. ``base.n`` and ``base.policies`` are ignored in
+    favor of the grid. Sample sizes must be whole numbers, at least one.
     """
     return _weight_sweeps([base], weights, sample_sizes, workers)[0]
 
@@ -389,17 +454,14 @@ def _weight_sweeps(
     workers: int,
 ) -> list[tuple[SweepCell, ...]]:
     """``weight_sweep`` of every base scenario, all tallied in one kernel
-    call."""
+    call; the bases share their censoring, replications and master seed."""
     w_arr = np.asarray(list(weights), dtype=float)
     if w_arr.size == 0 or np.any(~((w_arr >= 0.0) & (w_arr <= 1.0))):
         raise DomainError("sweep weights must lie in [0, 1]")
+    if len(sample_sizes) == 0 or not all(float(n).is_integer() for n in sample_sizes):
+        raise DomainError("sweep sample sizes must be whole numbers, at least one")
     grid = tuple(w_arr.tolist())
-    # distinct sample sizes use disjoint stream indices under one seed
-    runs = [
-        _Run(spec=replace(base, n=int(n)), weights=grid, stream_base=n_index << 32)
-        for base in bases
-        for n_index, n in enumerate(sample_sizes)
-    ]
+    runs = [_Run(spec=replace(base, n=int(n)), weights=grid) for base in bases for n in sample_sizes]
     counters = _tally(runs, workers).reshape(len(bases), len(sample_sizes), len(grid), 5)
     sweeps = []
     for base, base_rows in zip(bases, counters.tolist()):
@@ -457,9 +519,13 @@ def scenario_table(
     A cell is planned once. Each policy is sized from that plan and
     simulated at its own sample size and weight, under the censoring it was
     designed for: under the reference law for the type I error and under
-    the alternative for power; run k (in that order) is seeded
-    ``master_seed + k``. The cell's policy with the left-tail error closest
-    to the nominal alpha/2 is flagged ``best_alpha``.
+    the alternative for power. Every run of the table reads a prefix of the
+    same subjects, drawn once under ``master_seed`` at the table's largest
+    sample size, so its runs are dependent by design (common random
+    numbers) and ``best_alpha`` is a paired comparison; each cell's rates
+    and standard errors keep their meaning. The cell's policy with the
+    left-tail error closest to the nominal alpha/2 is flagged
+    ``best_alpha``.
     """
     if not policies:
         raise DomainError("scenario table needs at least one weight policy")
@@ -484,7 +550,7 @@ def scenario_table(
                     n=design.n,
                     policies=(policy,),
                     replications=replications,
-                    master_seed=master_seed + len(runs),
+                    master_seed=master_seed,
                     alpha=alpha,
                 )
                 runs.append(_Run(spec=spec, weights=(design.weight_used,)))

@@ -295,8 +295,7 @@ class TestSimulateCommand:
         "text",
         [
             SIMULATE_YAML.replace("seed: 7", "seed: 18446744073709551616"),
-            # run k of a preset is keyed seed + k, so run 1 passes 2**64
-            "preset: pbc\nseed: 18446744073709551615\n",
+            "preset: pbc\nseed: 18446744073709551616\n",
         ],
         ids=["scenario", "preset_run"],
     )
@@ -427,18 +426,32 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_preset_seed_past_64_bits_rejected_before_any_draw(self, tmp_path, monkeypatch):
-        reduced = []
-        real = simulate._reduce_block
+        keys = []
+        real = simulate.substream
 
-        def counting(*args):
-            reduced.append(args)
-            return real(*args)
+        def recording(seed, index):
+            keys.append((seed, index))
+            return real(seed, index)
 
-        monkeypatch.setattr(simulate, "_reduce_block", counting)
+        monkeypatch.setattr(simulate, "substream", recording)
+        # every run of a preset is keyed by the seed itself, so the largest
+        # 64-bit seed runs
         cfg = put(tmp_path, "sim.yaml", "preset: pbc\nseed: 18446744073709551615\n")
+        assert main(["simulate", "--config", cfg, "--replications", "100", "--workers", "1"]) == EXIT_OK
+        assert keys == [(2**64 - 1, 0)]
+        keys.clear()
+        cfg = put(tmp_path, "sim.yaml", "preset: pbc\nseed: 18446744073709551616\n")
         code = main(["simulate", "--config", cfg, "--replications", "20000", "--workers", "1"])
         assert code == EXIT_USAGE
-        assert reduced == []
+        assert keys == []
+
+    @pytest.mark.parametrize("text", [SIMULATE_YAML, "preset: pbc\nseed: 3\ninclude_power: false\n"],
+                             ids=["scenario", "preset"])
+    def test_report_names_the_stream_version(self, tmp_path, text):
+        cfg = put(tmp_path, "sim.yaml", text)
+        out = str(tmp_path / "report.json")
+        assert main(["simulate", "--config", cfg, "--out", out, "--replications", "50", "--workers", "1"]) == EXIT_OK
+        assert read_json(out)["results"]["stream_version"] == simulate.STREAM_VERSION == 2
 
 
 def without(text, line):
@@ -593,9 +606,9 @@ def test_design_command_loads_no_scipy():
 
 class TestPresetRuns:
     # any change to the engine, the stream keys or the row shape changes
-    # these digests
-    FIGURE1_DIGEST = "8db0518606625dc3b8ff0c61135267d82ac370911b98f65de55d884e98e6ea50"
-    TABLE2_DIGEST = "64fa953064164828d4420d4804feb7934004d9462f3ec3dfbb3a8657ec4a9a53"
+    # these digests; recorded at stream version 2
+    FIGURE1_DIGEST = "eee74f15389936d9c0313d9339ab4fe01bb2ada12066ba435c20c79ca6b92bd0"
+    TABLE2_DIGEST = "accbe95efd65950ed76896905f30cab852dc070c1ee9d4ffec9ba66125bee341"
 
     def test_figure1_rows_to_csv(self, tmp_path):
         cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")
@@ -612,7 +625,12 @@ class TestPresetRuns:
         assert rows_digest(rows) == self.FIGURE1_DIGEST
 
     def test_figure1_opens_one_pool(self, tmp_path, monkeypatch):
-        # all four target rates are dealt over one pool, with unchanged rows
+        # the blocks of all four target rates are dealt over one pool, with
+        # unchanged rows; 20 replications in blocks of 10 make two blocks
+        monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 10)
+        cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")
+        serial = str(tmp_path / "serial.csv")
+        assert main(["simulate", "--config", cfg, "--out", serial, "--workers", "1"]) == EXIT_OK
         sizes = []
         real_pool = simulate.multiprocessing.Pool
 
@@ -622,12 +640,11 @@ class TestPresetRuns:
 
         monkeypatch.setattr(simulate, "multiprocessing", types.SimpleNamespace(Pool=counting_pool))
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        cfg = put(tmp_path, "sim.yaml", "preset: figure1\nreplications: 20\nseed: 11\n")
         out = str(tmp_path / "sweep.csv")
         assert main(["simulate", "--config", cfg, "--out", out, "--workers", "2"]) == EXIT_OK
         assert sizes == [2]
-        with open(out, newline="") as fh:
-            assert rows_digest(list(csv.DictReader(fh))) == self.FIGURE1_DIGEST
+        with open(out, newline="") as fh, open(serial, newline="") as sh:
+            assert list(csv.DictReader(fh)) == list(csv.DictReader(sh))
 
     def test_table2_sample_sizes(self, tmp_path):
         cfg = put(

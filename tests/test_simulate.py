@@ -24,7 +24,7 @@ from singlearm.models import (
     hazard_ratio_alternative,
 )
 from singlearm.numerics import substream
-from singlearm.presets import BENCHMARK_POLICIES
+from singlearm.presets import BENCHMARK_POLICIES, PRESETS
 from singlearm.simulate import (
     ScenarioSpec,
     draw_trial,
@@ -122,35 +122,61 @@ class TestBlockReduction:
     }
     DROPOUTS = {"no_dropout": NoDropout(), "exponential_dropout": ExponentialDropout(0.4)}
     ACCRUALS = {"uniform": UniformAccrual(2.0), "power": PowerAccrual(2.0, 0.6)}
-    REPS = 700  # two row chunks at n = 60
+    REPS = 700  # two row chunks at n = 60, four at n = 150
 
     @staticmethod
-    def reduce(spec, reps, with_times):
-        buffers = np.empty((reps, spec.n)), np.empty((reps, spec.n))
-        chunks = list(simulate._reduce_block(spec, substream(8, 3), *buffers, with_times))
-        return [None if part[0] is None else np.concatenate(part) for part in zip(*chunks)]
+    def reduce(runs, reps):
+        """Reduce a block of a kernel call holding ``runs`` on stream (8, 3);
+        returns per run its (N, A0, events, times) over all rows."""
+        n_max = max(run.spec.n for run in runs)
+        buffers = [np.empty((reps, n_max)) for _ in range(3)]
+        chunks = [reduced for _, reduced in simulate._reduce_block(runs, substream(8, 3), *buffers)]
+        return [
+            [None if part[0] is None else np.concatenate(part) for part in zip(*per_run)]
+            for per_run in zip(*chunks)
+        ]
+
+    def spec(self, laws, dropout, accrual, n):
+        null, truth = self.LAWS[laws]
+        censoring = CensoringModel(self.ACCRUALS[accrual], self.DROPOUTS[dropout], 3.0)
+        return make_spec(truth_model=truth, null_model=null, censoring=censoring, n=n, replications=self.REPS)
+
+    def assert_matches(self, spec, reduced, oracle, with_times):
+        """N exact, A0 to 1e-12 (exact, with the events and times, when the
+        run reads times) against the oracle's first n subjects."""
+        n_events, a0, events, times = reduced
+        event, time_on_study = oracle.event[:, : spec.n], oracle.time_on_study[:, : spec.n]
+        oracle_a0 = spec.null_model.cum_hazard(time_on_study).sum(axis=1)
+        assert np.array_equal(n_events, event.sum(axis=1))
+        if with_times:
+            assert np.array_equal(a0, oracle_a0)
+            assert np.array_equal(events, event) and np.array_equal(times, time_on_study)
+        else:
+            np.testing.assert_allclose(a0, oracle_a0, rtol=1e-12, atol=0.0)
+            assert times is None
 
     @pytest.mark.parametrize("n", [1, 60])
     @pytest.mark.parametrize("accrual", ACCRUALS)
     @pytest.mark.parametrize("dropout", DROPOUTS)
     @pytest.mark.parametrize("laws", LAWS)
     def test_matches_draw_trial(self, laws, dropout, accrual, n):
-        null, truth = self.LAWS[laws]
-        censoring = CensoringModel(self.ACCRUALS[accrual], self.DROPOUTS[dropout], 3.0)
-        spec = make_spec(
-            truth_model=truth, null_model=null, censoring=censoring, n=n, replications=self.REPS
-        )
-        oracle = draw_trial(truth, censoring, substream(8, 3), self.REPS, n)
-        oracle_n = oracle.event.sum(axis=1)
-        oracle_a0 = null.cum_hazard(oracle.time_on_study).sum(axis=1)
-        n_events, a0, _, _ = self.reduce(spec, self.REPS, with_times=False)
-        assert np.array_equal(n_events, oracle_n)
-        np.testing.assert_allclose(a0, oracle_a0, rtol=1e-12, atol=0.0)
-        # with times, as a random_km weight reads them, the oracle's bits
-        n_events, a0, events, times = self.reduce(spec, self.REPS, with_times=True)
-        assert np.array_equal(n_events, oracle_n) and np.array_equal(a0, oracle_a0)
-        assert np.array_equal(events, oracle.event)
-        assert np.array_equal(times, oracle.time_on_study)
+        spec = self.spec(laws, dropout, accrual, n)
+        oracle = draw_trial(spec.truth_model, spec.censoring, substream(8, 3), self.REPS, n)
+        # a fixed weight, and a random_km weight that reads the times
+        for weights in ((0.5,), (None,)):
+            (reduced,) = self.reduce([simulate._Run(spec, weights)], self.REPS)
+            self.assert_matches(spec, reduced, oracle, with_times=weights == (None,))
+
+    @pytest.mark.parametrize("accrual", ACCRUALS)
+    @pytest.mark.parametrize("dropout", DROPOUTS)
+    @pytest.mark.parametrize("laws", LAWS)
+    def test_nested_prefixes_match_draw_trial(self, laws, dropout, accrual):
+        # one call's runs read prefixes of one block drawn at the largest n
+        specs = [self.spec(laws, dropout, accrual, n) for n in (1, 60, 150)]
+        runs = [simulate._Run(spec, weights) for spec in specs for weights in ((0.5,), (None,))]
+        oracle = draw_trial(specs[0].truth_model, specs[0].censoring, substream(8, 3), self.REPS, 150)
+        for run, reduced in zip(runs, self.reduce(runs, self.REPS)):
+            self.assert_matches(run.spec, reduced, oracle, with_times=run.weights == (None,))
 
 
 class TestRunScenarioDeterminism:
@@ -177,6 +203,8 @@ class TestRunScenarioDeterminism:
     def test_one_pool_per_table_and_per_sweep(self, monkeypatch):
         sizes = stub_pool(monkeypatch)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        # a call's runs share its blocks, so each call needs two of them
+        monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 100)
         policies = (WeightPolicy.wu(), WeightPolicy.counting())
         scenario_table((1.0,), (2.0,), (2.0,), policies, replications=200, workers=2)
         assert sizes == [2]
@@ -355,10 +383,64 @@ class TestWeightSweep:
         with pytest.raises(DomainError):
             weight_sweep(self.base(), (), (40,))
 
+    @pytest.mark.parametrize("sizes", [(10.7,), (40, 80.5), (), (float("inf"),)])
+    def test_sizes_must_be_whole_and_given(self, sizes):
+        with pytest.raises(DomainError, match="sample sizes"):
+            weight_sweep(self.base(), (0.5,), sizes)
+
+    def test_integral_floats_are_sizes(self):
+        assert weight_sweep(self.base(), (0.5,), (40.0,)) == weight_sweep(self.base(), (0.5,), (40,))
+
     def test_nan_weight_rejected(self):
         # NaN fails every comparison, so the check is written to fail it
         with pytest.raises(DomainError):
             weight_sweep(self.base(), (0.5, float("nan")), (40,))
+
+
+class TestStreamKeys:
+    """Stream contract version 2: block b of a kernel call draws from stream
+    ``(master_seed, b)``, whatever runs the call holds."""
+
+    CALLS = {
+        # two policies under the null and the alternative: four runs
+        "table": lambda seed: scenario_table(
+            (1.0,), (2.0,), (2.0,), (WeightPolicy.wu(), WeightPolicy.counting()),
+            replications=300, master_seed=seed,
+        ),
+        "figure1": lambda seed: PRESETS["figure1"](seed=seed, replications=20, alpha=0.05),
+    }
+
+    @staticmethod
+    def keys(monkeypatch, kind, seed):
+        """The (seed, index) keys of every stream that one call draws."""
+        seen = []
+        real = simulate.substream
+
+        def recording(seed, index):
+            seen.append((seed, index))
+            return real(seed, index)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simulate, "_MAX_BLOCK_REPS", 100)
+            mp.setattr(simulate, "substream", recording)
+            TestStreamKeys.CALLS[kind](seed)
+        return seen
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_adjacent_seeds_share_no_stream(self, monkeypatch, kind):
+        s, t = (set(self.keys(monkeypatch, kind, seed)) for seed in (5, 6))
+        assert s and t and s.isdisjoint(t)
+        assert {seed for seed, _ in s} == {5} and {seed for seed, _ in t} == {6}
+
+    def test_one_stream_per_block_of_a_call(self, monkeypatch):
+        # the table's four runs, at two sizes, read three blocks drawn once each
+        assert self.keys(monkeypatch, "table", 9) == [(9, 0), (9, 1), (9, 2)]
+
+    def test_runs_must_share_censoring_replications_and_seed(self):
+        run = simulate._Run(make_spec(), (0.5,))
+        for change in ({"replications": 10}, {"master_seed": 1}, {"censoring": TestGoldenTallies.CENSORING}):
+            with pytest.raises(ValueError, match="share"):
+                simulate._tally([run, run._replace(spec=make_spec(**change))], workers=1)
 
 
 class TestScenarioTable:
@@ -399,6 +481,9 @@ class TestScenarioTable:
         assert cell.power is None and cell.power_se is None
         assert cell.indeterminate_alt is None
         assert 0.0 <= cell.alpha_left <= 0.2
+
+    def test_empty_grid_has_no_cells(self):
+        assert scenario_table((), (2.0,), (2.0,), (WeightPolicy.wu(),), replications=100) == ()
 
     def test_empty_policy_list_rejected(self):
         with pytest.raises(DomainError):
@@ -459,6 +544,14 @@ class TestScenarioTable:
             (d.policy.label, d.n, d.weight_used) for d in expected
         ]
 
+    def test_process_pool_matches_one_process(self, monkeypatch):
+        # five blocks, dealt over a real pool of two processes
+        monkeypatch.setattr(simulate, "_MAX_BLOCK_REPS", 100)
+        policies = (WeightPolicy.wu(), WeightPolicy.counting())
+        kwargs = dict(replications=450, master_seed=13, dropout=dropout_from_yearly_rate(0.1))
+        serial = scenario_table((0.5, 1.0), (2.0,), (1.5,), policies, workers=1, **kwargs)
+        assert scenario_table((0.5, 1.0), (2.0,), (1.5,), policies, workers=2, **kwargs) == serial
+
     def test_deterministic(self):
         kwargs = dict(replications=600, master_seed=11, include_power=False)
         a = scenario_table((1.0,), (1.0,), (1.5,), (WeightPolicy.wu(),), **kwargs)
@@ -470,7 +563,9 @@ class TestGoldenTallies:
     """Exact counters of a small scenario and a small sweep. Any change to
     the random-stream contract (block keying, draw order, block size) or to
     the z rule shows up here; such a change must be declared, not absorbed
-    by quietly re-recording these values."""
+    by quietly re-recording these values. SCENARIO holds since stream
+    version 1; SWEEP and TABLE were re-recorded at version 2, when a call's
+    runs began to share its blocks."""
 
     CENSORING = CensoringModel(UniformAccrual(2.0), dropout_from_yearly_rate(0.2), 3.0)
 
@@ -484,17 +579,17 @@ class TestGoldenTallies:
     # label, n, null indeterminate, null left rejections, power indeterminate,
     # power left rejections, best_alpha
     TABLE = (
-        ("uncorrelated_null", 113, 0, 484, 0, 15977, True),
-        ("counting", 92, 0, 757, 0, 15624, False),
+        ("uncorrelated_null", 113, 0, 484, 0, 16004, True),
+        ("counting", 92, 0, 729, 0, 15449, False),
     )
     # n, weight, determinate, indeterminate, left rejections
     SWEEP = (
         (3, 0.0, 1500, 0, 0),
-        (3, 0.5, 1500, 0, 51),
-        (3, 1.0, 1192, 308, 0),
-        (2000, 0.0, 1500, 0, 29),
-        (2000, 0.5, 1500, 0, 32),
-        (2000, 1.0, 1500, 0, 33),
+        (3, 0.5, 1500, 0, 47),
+        (3, 1.0, 1182, 318, 0),
+        (2000, 0.0, 1500, 0, 37),
+        (2000, 0.5, 1500, 0, 43),
+        (2000, 1.0, 1500, 0, 47),
     )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -526,6 +621,33 @@ class TestGoldenTallies:
         assert weights[2] == pytest.approx(0.23358, abs=1e-5)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_unhashable_null_law(self, workers):
+        # list fields make the law unhashable; with truth == null every run
+        # shares K = Lambda_0(U), which must not need the law as a key
+        null = PiecewiseExponential([1.0], [0.5, 0.2])
+        with pytest.raises(TypeError):
+            hash(null)
+        spec = ScenarioSpec(
+            truth_model=null,
+            null_model=null,
+            censoring=self.CENSORING,
+            n=6,
+            policies=(WeightPolicy.compensator(), WeightPolicy.uncorrelated_null(), WeightPolicy.fixed(0.3)),
+            replications=20_000,
+            master_seed=20211,
+        )
+        got = tuple(
+            (p.label, p.determinate, p.indeterminate, p.rejections_two, p.rejections_left, p.rejections_right)
+            for p in run_scenario(spec, workers=workers).policies
+        )
+        # the counters of stream version 1, as for SCENARIO: one sample size
+        assert got == (
+            ("compensator", 20_000, 0, 1172, 82, 1090),
+            ("uncorrelated_null", 20_000, 0, 1075, 531, 544),
+            ("fixed(0.3)", 20_000, 0, 1071, 544, 527),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_counters(self, workers):
         truth = Exponential.from_median(2.0)
         base = ScenarioSpec(
@@ -534,7 +656,7 @@ class TestGoldenTallies:
             censoring=self.CENSORING,
             n=1,
             policies=(WeightPolicy.wu(),),
-            replications=1_500,  # three blocks at n = 2000
+            replications=1_500,  # two blocks at n = 2000, read by both sizes
             master_seed=77,
         )
         cells = weight_sweep(base, (0.0, 0.5, 1.0), (3, 2000), workers=workers)
@@ -543,7 +665,7 @@ class TestGoldenTallies:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_table_counters(self, workers):
-        replications = 20_000  # three blocks per run
+        replications = 20_000  # three blocks, read by all four runs
         cells = scenario_table(
             (0.5,),
             (2.0,),
