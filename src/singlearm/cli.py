@@ -57,7 +57,7 @@ from .models import (
     hazard_ratio_alternative,
 )
 from .presets import PRESETS
-from .simulate import STREAM_VERSION, ScenarioSpec, run_scenario
+from .simulate import STREAM_VERSION, ScenarioSpec, SimulationReport, run_scenario
 
 __all__ = [
     "ReportEnvelope",
@@ -100,8 +100,11 @@ def _jsonify(obj: Any) -> Any:
     Non-finite floats become ``None`` (JSON null), since strict JSON has no
     NaN or infinity.
     """
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+    # most values are plain scalars; numpy floats are floats too
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -427,14 +430,14 @@ def cmd_design(config: dict) -> ReportEnvelope:
         "expected_event_rate_null": result.expected_event_rate_null,
         "expected_event_rate_alt": result.expected_event_rate_alt,
         "achieved_power": result.achieved_power,
-        "moments": _jsonify(result.moments),
+        "moments": result.moments,
         "advisory": (
             f"expected event rate under the reference law is "
             f"{result.expected_event_rate_null:.1%}; the {advice} policy is "
             "typically closest to nominal in this regime"
         ),
     }
-    return ReportEnvelope(command="design", config=cfg, results=payload, warnings=[])
+    return ReportEnvelope(command="design", config=cfg, results=_jsonify(payload), warnings=[])
 
 
 def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
@@ -463,7 +466,7 @@ def cmd_analyze(config: dict, data_path: str) -> ReportEnvelope:
     )
 
 
-def _simulate_scenario(cfg: dict, workers: int) -> dict:
+def _simulate_scenario(cfg: dict, workers: int) -> SimulationReport:
     null = _survival_from(cfg, "null")
     truth = _survival_from(cfg, "truth")
     if cfg.get("hazard_ratio_truth") is not None:
@@ -478,7 +481,7 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
     )
     hazard_ratio = cfg.get("hazard_ratio")
     planning_alt = hazard_ratio_alternative(null, hazard_ratio) if hazard_ratio is not None else None
-    report = run_scenario(
+    return run_scenario(
         ScenarioSpec(
             truth_model=null if truth is None else truth,
             null_model=null,
@@ -492,7 +495,6 @@ def _simulate_scenario(cfg: dict, workers: int) -> dict:
         ),
         workers=workers,
     )
-    return _jsonify(report)
 
 
 def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
@@ -507,13 +509,13 @@ def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
     if cfg["replications"] < 2:
         warnings.append("standard errors are degenerate with fewer than two replications")
     if preset is None:
-        payload = _simulate_scenario(cfg, workers)
+        results = _simulate_scenario(cfg, workers)
     else:
         settings = {k: v for k, v in cfg.items() if k != "preset"}
-        payload = {"rows": [_jsonify(row) for row in PRESETS[preset](**settings, workers=workers)]}
+        results = {"rows": PRESETS[preset](**settings, workers=workers)}
     # the random-stream layout that the seed is read under
-    payload = {"stream_version": STREAM_VERSION, **payload}
-    return ReportEnvelope(command="simulate", config=cfg, results=payload, warnings=warnings)
+    results = {"stream_version": STREAM_VERSION, **_jsonify(results)}
+    return ReportEnvelope(command="simulate", config=cfg, results=results, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -521,43 +523,29 @@ def cmd_simulate(config: dict, workers: int = 1) -> ReportEnvelope:
 
 
 def _print_envelope(env: ReportEnvelope) -> None:
+    """Print the plain results: a scalar as ``key: value``, a dict as
+    ``key.sub: value`` and a list of rows as its count and first 8 rows."""
     print(f"singlearm {env.version} :: {env.command}")
-    results = env.results
-    rows = results.get("rows") if isinstance(results, dict) else None
-    if rows is not None:
-        print(f"  {len(rows)} result rows")
-        for row in rows[:8]:
-            print("  " + ", ".join(f"{k}={v}" for k, v in row.items()))
-        if len(rows) > 8:
-            print(f"  ... ({len(rows) - 8} more rows; use --out to capture everything)")
-    elif isinstance(results, dict) and "policies" in results:
-        print(
-            f"  n={results.get('n')}, replications={results.get('replications')}, "
-            f"seed={results.get('master_seed')}"
-        )
-        for pol in results["policies"]:
-            parts = [f"policy={pol['label']}"]
-            if pol.get("weight") is not None:
-                parts.append(f"weight={pol['weight']:.4f}")
-            for key in ("rate_two", "rate_left", "rate_right"):
-                # None when no replication was determinate
-                rate = pol[key]
-                parts.append(f"{key}={'n/a' if rate is None else format(rate, '.4f')}")
-            if pol["indeterminate"]:
-                parts.append(f"indeterminate={pol['indeterminate']}")
-            print("  " + ", ".join(parts))
-    else:
-        for key, value in results.items():
-            if isinstance(value, dict):
-                for sub, val in value.items():
-                    print(f"  {key}.{sub}: {val}")
-            else:
-                print(f"  {key}: {value}")
+    for key, value in env.results.items():
+        if isinstance(value, dict):
+            for sub, val in value.items():
+                print(f"  {key}.{sub}: {val}")
+        elif isinstance(value, list):
+            print(f"  {key}: {len(value)} rows")
+            for row in value[:8]:
+                # None where no replication was determinate or no power was asked for
+                print("  " + ", ".join(f"{k}={'n/a' if v is None else v}" for k, v in row.items()))
+            if len(value) > 8:
+                print(f"  ... ({len(value) - 8} more rows; use --out to capture everything)")
+        else:
+            print(f"  {key}: {value}")
     for warning in env.warnings:
         print(f"  warning: {warning}", file=sys.stderr)
 
 
 def _write_output(env: ReportEnvelope, out_path: str) -> None:
+    """Write the report, whose results are plain already: the rows of a
+    preset as CSV, else the envelope as one line of strict JSON."""
     if out_path.endswith(".csv"):
         rows = env.results["rows"]
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -565,9 +553,11 @@ def _write_output(env: ReportEnvelope, out_path: str) -> None:
             writer.writeheader()
             writer.writerows(rows)
         return
+    # vars() lists the fields in their declared order; a one-shot dumps
+    # without indent runs the C encoder
+    text = json.dumps(vars(env), allow_nan=False)
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(env), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +594,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before the computation, not after it
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"cannot write report {args.out}: it is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError(f"cannot write report {args.out}: no such directory")
         config = _load_config(args.config)

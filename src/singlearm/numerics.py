@@ -9,6 +9,7 @@ standard library; and seeded RNG substreams.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 import sys
 from typing import Callable, Iterable
@@ -209,8 +210,15 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     Streams are keyed by ``(master_seed, index)`` on a counter-based
     generator, so any worker can recreate stream ``index`` without touching
     the others; this is what makes parallel simulation results independent
-    of the worker count.
+    of the worker count. Both keys must be whole numbers: a fraction would
+    otherwise be truncated onto another key's stream.
     """
+    try:
+        master_seed, index = operator.index(master_seed), operator.index(index)
+    except TypeError:
+        raise DomainError(
+            f"seed and stream index must be whole numbers, got ({master_seed!r}, {index!r})"
+        ) from None
     if not (0 <= master_seed < 2**64 and 0 <= index < 2**64):
         raise DomainError(
             f"seed and stream index must lie in [0, 2**64), got ({master_seed}, {index})"

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -162,6 +163,14 @@ class ScenarioSpec:
     planning_alternative: SurvivalModel | None = None
 
     def __post_init__(self) -> None:
+        # stored as plain ints, so seed arithmetic cannot wrap; a fraction
+        # would be truncated onto another seed's streams
+        for name in ("n", "replications", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DomainError(f"scenario {name} must be a whole number, got {value!r}") from None
         if self.n < 1:
             raise DomainError("scenario needs at least one subject")
         if self.replications < 1:

@@ -378,6 +378,18 @@ class TestSimulateCommand:
             "compensator", "counting", "wu", "uncorrelated_null"
         ]
 
+    def test_preset_rows_same_in_json_and_csv(self, tmp_path):
+        cfg = put(tmp_path, "sim.yaml", "preset: pbc\nreplications: 200\nseed: 5\ninclude_power: false\n")
+        as_json, as_csv = str(tmp_path / "rows.json"), str(tmp_path / "rows.csv")
+        for out in (as_json, as_csv):
+            assert main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == EXIT_OK
+        rows = read_json(as_json)["results"]["rows"]
+        with open(as_csv, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        # power is None without include_power, an empty cell in CSV
+        assert all(row["power"] is None for row in rows)
+        assert cells == [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
+
     def test_report_without_determinate_replication_is_strict_json(self, tmp_path, capsys):
         # one subject under a near-zero hazard never has an event, so the
         # counting weight leaves every replication indeterminate
@@ -593,6 +605,8 @@ def test_design_command_loads_no_scipy():
         """
         import sys
         import singlearm
+        # the package alone reads no config and writes no report
+        assert not {"yaml", "singlearm.cli"} & sys.modules.keys(), "import singlearm loaded the CLI"
         from singlearm import cli
         status = cli.main(["design", "--config", "configs/design_pbc.yaml"])
         print(status, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -735,9 +749,13 @@ class TestUnreadablePaths:
         assert main(["analyze", "--config", cfg, "--data", str(data)]) == EXIT_DATA
         assert str(data) in capsys.readouterr().err
 
-    def test_output_directory_missing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name", [os.path.join("missing", "report.json"), "existing" + os.sep], ids=["missing", "existing_directory"]
+    )
+    def test_output_directory_missing(self, tmp_path, capsys, name):
         cfg = put(tmp_path, "design.yaml", DESIGN_YAML)
-        out = str(tmp_path / "missing" / "report.json")
+        (tmp_path / "existing").mkdir()
+        out = os.path.join(tmp_path, name)
         assert main(["design", "--config", cfg, "--out", out]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert out in captured.err

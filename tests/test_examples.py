@@ -33,6 +33,10 @@ COMMENTED = [
 ]
 
 
+def reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def test_every_example_is_collected():
     assert {p.name.split("_")[0] for p in CONFIGS} == set(COMMAND_ARGS)
 
@@ -44,7 +48,7 @@ def test_config_runs(config, tmp_path, capsys):
     argv = [command, "--config", str(config), "--out", str(out), *COMMAND_ARGS[command]]
     assert main(argv) == EXIT_OK
     assert f":: {command}" in capsys.readouterr().out
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=reject_constant)
     assert report["command"] == command
     assert report["results"]
 

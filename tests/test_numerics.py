@@ -236,6 +236,13 @@ class TestSubstream:
             substream(-1, 0)
         with pytest.raises(DomainError):
             substream(0, -1)
+        # a fraction is not truncated onto a whole key's stream
+        for seed, index in [(7.9, 0), (7, 0.5), (7.0, 0), ("7", 0), (None, 0)]:
+            with pytest.raises(DomainError, match="whole numbers"):
+                substream(seed, index)
+        np.testing.assert_array_equal(
+            substream(np.uint64(7), np.int64(0)).random(3), substream(7, 0).random(3)
+        )
 
     def test_keys_past_64_bits_rejected(self):
         substream(2**64 - 1, 2**64 - 1)

@@ -339,6 +339,15 @@ class TestRunScenarioTallies:
         with pytest.raises(DomainError):
             make_spec(master_seed=-1)
 
+    @pytest.mark.parametrize("name", ["n", "replications", "master_seed"])
+    @pytest.mark.parametrize("value", [40.0, 7.5, "40", None])
+    def test_counts_and_seed_must_be_whole_numbers(self, name, value):
+        with pytest.raises(DomainError, match=f"scenario {name} must be a whole number"):
+            make_spec(**{name: value})
+        # numpy integers pass, stored as plain ints
+        spec = make_spec(**{name: np.int64(40)})
+        assert type(getattr(spec, name)) is int and spec == make_spec(**{name: 40})
+
     def test_seed_past_64_bits_rejected(self):
         make_spec(master_seed=2**64 - 1)
         with pytest.raises(DomainError, match=r"2\*\*64"):
