@@ -339,7 +339,7 @@ def read_subject_csv(path: str, analysis_time: float) -> TrialDataset:
     error messages.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise DataValidationError(f"data file not found: {path}") from None

@@ -15,18 +15,20 @@ is plain integer counting, so a call's results are bit-identical however
 its blocks are dealt to this process or to at most one process pool.
 
 A block is reduced to each run's per-replication event count N and
-compensator A0 in row chunks that fit in cache. A chunk computes the
-censoring times U once, and K = Lambda_0(U) once per null law. Where the
-null and true cumulative hazards have a constant ratio c (the truth is
-the null law, or a same-shape Weibull), a run works in the null law's
-cumulative-hazard coordinates: with E a subject's unit exponential,
-H = c E is the null cumulative hazard at the event time, the event is
-H <= K and A0 sums min(H, K), so no event time is built. Other runs, and
-runs with a ``random_km`` weight, build the event and observed times as
-``draw_trial`` does. ``draw_trial`` is the subject-level oracle of the
-kernel. Within one replication every weight of a run sees the same
-dataset, so weights differ only through the variance denominator of the
-standardized statistic.
+compensator A0 by groups. Where the null and true cumulative hazards have
+a constant ratio c (the truth is the null law, or a same-shape Weibull),
+a run works in the null law's cumulative-hazard coordinates: with E a
+subject's unit exponential, H = c E is the null cumulative hazard at the
+event time and K = Lambda_0(U) the one at the censoring time U, the event
+is H <= K and A0 sums min(H, K), so no event time is built. Such runs of
+one null law form a group that computes K once. Other runs, and runs with
+a ``random_km`` weight, are groups of their own and build the event and
+observed times as ``draw_trial`` does. A group's width is its largest n;
+the groups of one width share one loop of row chunks of that width that
+fit in cache, and a chunk computes U once for all of them. ``draw_trial``
+is the subject-level oracle of the kernel. Within one replication every
+weight of a run sees the same dataset, so weights differ only through the
+variance denominator of the standardized statistic.
 """
 
 from __future__ import annotations
@@ -247,16 +249,16 @@ def _null_hazard_ratio(null: SurvivalModel, truth: SurvivalModel) -> float | Non
 
 
 def _reduce_block(
-    runs: Sequence[_Run], rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray, dropout: np.ndarray
-):
+    runs: Sequence[_Run], rng: np.random.Generator, uniform: np.ndarray, unit: np.ndarray,
+    dropout: np.ndarray, n_events: np.ndarray, a0: np.ndarray, km_weights: np.ndarray,
+) -> list[int]:
     """Draw one block of a kernel call into the buffers ``uniform``, ``unit``
     and ``dropout`` (one row per replication, n_max columns) and reduce every
-    run's prefix in row chunks, as the module docstring describes.
-
-    Yields, per chunk, its row slice and one (N, A0, events, times) per run:
-    the event counts and compensators of the run's first n subjects in each
-    row, and, for a run with a ``random_km`` weight, their event indicators
-    and observed times (else None).
+    run's prefix by groups, as the module docstring describes. Run k's event
+    counts and compensators, and with a ``random_km`` weight its Kaplan-Meier
+    weights, go to row k of ``n_events``, ``a0`` and ``km_weights``, one
+    column per replication. Returns each run's number of Kaplan-Meier
+    fallbacks.
     """
     censoring = runs[0].spec.censoring
     drawn_dropout = _draw_subjects(censoring, rng, uniform, unit, dropout)
@@ -264,38 +266,41 @@ def _reduce_block(
         None if None in run.weights else _null_hazard_ratio(run.spec.null_model, run.spec.truth_model)
         for run in runs
     ]
-    # K is shared by the constant-ratio runs of one null law object (a law
-    # need not be hashable): computed at their widest prefix when the first
-    # of them is reduced and dropped after the last, so a chunk holds one K
-    # at a time when a law's runs are listed together, as every caller does
-    k_width, k_last = {}, {}
-    for k, (run, ratio) in enumerate(zip(runs, ratios)):
-        if ratio is not None:
-            law = id(run.spec.null_model)
-            k_width[law], k_last[law] = max(k_width.get(law, 0), run.spec.n), k
-    step = max(1, _CHUNK_ELEMENTS // unit.shape[1])
-    for start in range(0, len(unit), step):
-        rows = slice(start, min(start + step, len(unit)))
-        censor = _censor_time(censoring, censoring.accrual.quantile(uniform[rows]), drawn_dropout[rows])
-        null_censor = {}
-        reduced = []
-        for k, (run, ratio) in enumerate(zip(runs, ratios)):
-            n, null = run.spec.n, run.spec.null_model
-            if ratio is None:
-                event_time = run.spec.truth_model.inverse_cum_hazard(unit[rows, :n])
-                event = event_time <= censor[:, :n]
-                times = np.minimum(event_time, censor[:, :n], out=event_time)
-                a0 = null.cum_hazard(times).sum(axis=1)
-                reduced.append((event.sum(axis=1), a0, event, times if None in run.weights else None))
-            else:
-                law = id(null)
-                if law not in null_censor:
-                    null_censor[law] = null.cum_hazard(censor[:, :k_width[law]])
-                null_event = ratio * unit[rows, :n]
-                k_n = (null_censor.pop(law) if k_last[law] == k else null_censor[law])[:, :n]
-                event = null_event <= k_n
-                reduced.append((event.sum(axis=1), np.minimum(null_event, k_n).sum(axis=1), event, None))
-        yield rows, reduced
+    # keyed by the null law object (a law need not be hashable), and by the
+    # run too when it is not constant-ratio; groups of one width share chunks
+    groups, by_width = {}, {}
+    for k, run in enumerate(runs):
+        groups.setdefault((id(run.spec.null_model), k if ratios[k] is None else None), []).append(k)
+    for group in groups.values():
+        by_width.setdefault(max(runs[k].spec.n for k in group), []).append(group)
+    fallbacks = [0] * len(runs)
+    for width, width_groups in by_width.items():
+        step = max(1, _CHUNK_ELEMENTS // width)
+        for start in range(0, len(unit), step):
+            rows = slice(start, min(start + step, len(unit)))
+            entry = censoring.accrual.quantile(uniform[rows, :width])
+            censor = _censor_time(censoring, entry, drawn_dropout[rows, :width])
+            for group in width_groups:
+                null = runs[group[0]].spec.null_model
+                if ratios[group[0]] is not None:
+                    null_censor = null.cum_hazard(censor)
+                    for k in group:
+                        n = runs[k].spec.n
+                        null_event, k_n = ratios[k] * unit[rows, :n], null_censor[:, :n]
+                        n_events[k, rows] = (null_event <= k_n).sum(axis=1)
+                        a0[k, rows] = np.minimum(null_event, k_n).sum(axis=1)
+                    continue
+                (k,) = group
+                run = runs[k]
+                event_time = run.spec.truth_model.inverse_cum_hazard(unit[rows, :width])
+                event = event_time <= censor
+                times = np.minimum(event_time, censor, out=event_time)
+                n_events[k, rows], a0[k, rows] = event.sum(axis=1), null.cum_hazard(times).sum(axis=1)
+                if None in run.weights:
+                    km = [km_weight_from_arrays(t, e, null, run.km_fallback) for t, e in zip(times, event)]
+                    km_weights[k, rows] = [r.weight for r in km]
+                    fallbacks[k] += sum(r.used_fallback for r in km)
+    return fallbacks
 
 
 def _count(counters: np.ndarray, w: np.ndarray, n_events: np.ndarray, a0: np.ndarray, z_crit: float) -> None:
@@ -342,17 +347,10 @@ def _run_blocks(runs: Sequence[_Run], blocks: Sequence[int]) -> np.ndarray:
     for b in blocks:
         reps = min(reps_per_block, spec.replications - b * reps_per_block)
         rng = substream(spec.master_seed, b)
-        for rows, reduced in _reduce_block(runs, rng, uniform[:reps], unit[:reps], dropout[:reps]):
-            for k, (run, (n_k, a0_k, events, times)) in enumerate(zip(runs, reduced)):
-                n_events[k, rows], a0[k, rows] = n_k, a0_k
-                if km_rows[k]:
-                    results = [
-                        km_weight_from_arrays(t, e, run.spec.null_model, run.km_fallback)
-                        for t, e in zip(times, events)
-                    ]
-                    km_weights[k, rows] = [r.weight for r in results]
-                    counters[k, km_rows[k], _K_FB] += sum(r.used_fallback for r in results)
+        buffers = (uniform[:reps], unit[:reps], dropout[:reps])
+        fallbacks = _reduce_block(runs, rng, *buffers, n_events, a0, km_weights)
         for k in range(len(runs)):
+            counters[k, km_rows[k], _K_FB] += fallbacks[k]
             for start in range(0, reps, tally_step):
                 cols = slice(start, min(start + tally_step, reps))
                 w = w_cols[k]

@@ -219,6 +219,18 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cfg, "--data", data]) == EXIT_DATA
         assert "header" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+        cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
+        results = []
+        for name, encoding in (("plain.csv", "utf-8"), ("marked.csv", "utf-8-sig")):
+            out = str(tmp_path / f"{name}.json")
+            (tmp_path / name).write_bytes(SUBJECT_CSV.encode(encoding))
+            data = str(tmp_path / name)
+            assert main(["analyze", "--config", cfg, "--data", data, "--out", out]) == EXIT_OK
+            results.append(read_json(out)["results"])
+        assert results[0] == results[1]
+
     def test_no_information_is_a_numerical_failure(self, tmp_path):
         cfg = put(tmp_path, "analyze.yaml", ANALYZE_YAML)
         data = put(

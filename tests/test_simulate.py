@@ -122,38 +122,50 @@ class TestBlockReduction:
     }
     DROPOUTS = {"no_dropout": NoDropout(), "exponential_dropout": ExponentialDropout(0.4)}
     ACCRUALS = {"uniform": UniformAccrual(2.0), "power": PowerAccrual(2.0, 0.6)}
-    REPS = 700  # two row chunks at n = 60, four at n = 150
+    REPS = 700  # a group's row chunks fit its width: two at width 60, four at 150
 
     @staticmethod
     def reduce(runs, reps):
         """Reduce a block of a kernel call holding ``runs`` on stream (8, 3);
-        returns per run its (N, A0, events, times) over all rows."""
+        returns per run its (N, A0, Kaplan-Meier weights, fallbacks) over all
+        rows, the weights NaN where the run has no ``random_km`` weight."""
         n_max = max(run.spec.n for run in runs)
         buffers = [np.empty((reps, n_max)) for _ in range(3)]
-        chunks = [reduced for _, reduced in simulate._reduce_block(runs, substream(8, 3), *buffers)]
-        return [
-            [None if part[0] is None else np.concatenate(part) for part in zip(*per_run)]
-            for per_run in zip(*chunks)
-        ]
+        n_events, a0 = np.empty((len(runs), reps), dtype=np.int64), np.empty((len(runs), reps))
+        km_weights = np.full((len(runs), reps), np.nan)
+        fallbacks = simulate._reduce_block(runs, substream(8, 3), *buffers, n_events, a0, km_weights)
+        return list(zip(n_events, a0, km_weights, fallbacks))
 
     def spec(self, laws, dropout, accrual, n):
         null, truth = self.LAWS[laws]
         censoring = CensoringModel(self.ACCRUALS[accrual], self.DROPOUTS[dropout], 3.0)
         return make_spec(truth_model=truth, null_model=null, censoring=censoring, n=n, replications=self.REPS)
 
-    def assert_matches(self, spec, reduced, oracle, with_times):
-        """N exact, A0 to 1e-12 (exact, with the events and times, when the
-        run reads times) against the oracle's first n subjects."""
-        n_events, a0, events, times = reduced
+    @staticmethod
+    def assert_matches(run, reduced, oracle):
+        """Against the oracle's first n subjects: N exact; A0 exact when the
+        run reads times, else to 1e-12; a ``random_km`` run's Kaplan-Meier
+        weights and fallbacks bit for bit those of ``km_weight_from_arrays``
+        on the oracle's rows."""
+        spec = run.spec
+        n_events, a0, km_weights, fallbacks = reduced
         event, time_on_study = oracle.event[:, : spec.n], oracle.time_on_study[:, : spec.n]
         oracle_a0 = spec.null_model.cum_hazard(time_on_study).sum(axis=1)
         assert np.array_equal(n_events, event.sum(axis=1))
-        if with_times:
+        ratio = simulate._null_hazard_ratio(spec.null_model, spec.truth_model)
+        if None in run.weights or ratio is None:  # the run reads times
             assert np.array_equal(a0, oracle_a0)
-            assert np.array_equal(events, event) and np.array_equal(times, time_on_study)
         else:
             np.testing.assert_allclose(a0, oracle_a0, rtol=1e-12, atol=0.0)
-            assert times is None
+        if None in run.weights:
+            km = [
+                km_weight_from_arrays(t, e, spec.null_model, run.km_fallback)
+                for t, e in zip(time_on_study, event)
+            ]
+            assert np.array_equal(km_weights, [r.weight for r in km])
+            assert fallbacks == sum(r.used_fallback for r in km)
+        else:
+            assert np.all(np.isnan(km_weights)) and fallbacks == 0
 
     @pytest.mark.parametrize("n", [1, 60])
     @pytest.mark.parametrize("accrual", ACCRUALS)
@@ -164,8 +176,9 @@ class TestBlockReduction:
         oracle = draw_trial(spec.truth_model, spec.censoring, substream(8, 3), self.REPS, n)
         # a fixed weight, and a random_km weight that reads the times
         for weights in ((0.5,), (None,)):
-            (reduced,) = self.reduce([simulate._Run(spec, weights)], self.REPS)
-            self.assert_matches(spec, reduced, oracle, with_times=weights == (None,))
+            run = simulate._Run(spec, weights)
+            (reduced,) = self.reduce([run], self.REPS)
+            self.assert_matches(run, reduced, oracle)
 
     @pytest.mark.parametrize("accrual", ACCRUALS)
     @pytest.mark.parametrize("dropout", DROPOUTS)
@@ -176,7 +189,32 @@ class TestBlockReduction:
         runs = [simulate._Run(spec, weights) for spec in specs for weights in ((0.5,), (None,))]
         oracle = draw_trial(specs[0].truth_model, specs[0].censoring, substream(8, 3), self.REPS, 150)
         for run, reduced in zip(runs, self.reduce(runs, self.REPS)):
-            self.assert_matches(run.spec, reduced, oracle, with_times=run.weights == (None,))
+            self.assert_matches(run, reduced, oracle)
+
+    @pytest.mark.parametrize("dropout", DROPOUTS)
+    def test_groups_of_mixed_laws_match_draw_trial(self, dropout):
+        # constant-ratio runs of two null laws listed interleaved (A, B, A),
+        # a run of law A that is not constant-ratio and a random_km run, at
+        # three sizes: law A's group and its other run share the row chunks
+        # of width 60, law B's group and the random_km run those of width 150
+        null_a, null_b = self.WEIBULL, Weibull(0.7, 4.0)
+        cases = [
+            (null_a, null_a, 60, (0.5,)),
+            (null_b, hazard_ratio_alternative(null_b, 0.7), 150, (0.5,)),
+            (null_a, hazard_ratio_alternative(null_a, 1.6), 1, (0.5,)),
+            (null_a, Weibull(0.8, 3.0), 60, (0.5,)),
+            (null_a, null_a, 150, (None,)),
+            (null_b, null_b, 60, (0.5,)),
+        ]
+        censoring = CensoringModel(UniformAccrual(2.0), self.DROPOUTS[dropout], 3.0)
+        runs = [
+            simulate._Run(make_spec(truth_model=truth, null_model=null, censoring=censoring, n=n,
+                                    replications=self.REPS), weights, km_fallback=0.25)
+            for null, truth, n, weights in cases
+        ]
+        for run, reduced in zip(runs, self.reduce(runs, self.REPS)):
+            oracle = draw_trial(run.spec.truth_model, censoring, substream(8, 3), self.REPS, 150)
+            self.assert_matches(run, reduced, oracle)
 
 
 class TestRunScenarioDeterminism:
