@@ -594,6 +594,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # fail before the computation, not after it
+        if args.command == "simulate" and args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         if args.out and os.path.isdir(args.out):
             raise ConfigError(f"cannot write report {args.out}: it is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -611,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
                 config["seed"] = args.seed
             if args.replications is not None:
                 config["replications"] = args.replications
-            env = cmd_simulate(config, workers=max(1, args.workers))
+            env = cmd_simulate(config, workers=args.workers)
         _print_envelope(env)
         if args.out:
             try:

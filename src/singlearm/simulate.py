@@ -21,12 +21,16 @@ a run works in the null law's cumulative-hazard coordinates: with E a
 subject's unit exponential, H = c E is the null cumulative hazard at the
 event time and K = Lambda_0(U) the one at the censoring time U, the event
 is H <= K and A0 sums min(H, K), so no event time is built. Such runs of
-one null law form a group that computes K once. Other runs, and runs with
-a ``random_km`` weight, are groups of their own and build the event and
-observed times as ``draw_trial`` does. A group's width is its largest n;
-the groups of one width share one loop of row chunks of that width that
-fit in cache, and a chunk computes U once for all of them. ``draw_trial``
-is the subject-level oracle of the kernel. Within one replication every
+one null law form a group that computes K once, and reduces each distinct
+ratio c in one pass at the widest n of c's runs: every size's N is a
+prefix count of the events H <= K, and each run's A0 the row sum of its
+prefix view of min(H, K), the same pairwise sum as for the run alone.
+Other runs, and runs with a ``random_km`` weight, are groups of their own
+and build the event and observed times as ``draw_trial`` does. U is
+computed once per block, in place of the entry uniforms. A group's width
+is its largest n, and the groups of one width share one loop of row
+chunks of that width that fit in cache. ``draw_trial`` is the
+subject-level oracle of the kernel. Within one replication every
 weight of a run sees the same dataset, so weights differ only through the
 variance denominator of the standardized statistic.
 """
@@ -118,9 +122,11 @@ def _draw_subjects(
     return censoring.dropout.sample(rng, unit.shape, out=dropout)
 
 
-def _censor_time(censoring: CensoringModel, entry: np.ndarray, dropout: np.ndarray) -> np.ndarray:
+def _censor_time(
+    censoring: CensoringModel, entry: np.ndarray, dropout: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """U = min(C, (t - Y)+): dropout or the end of the subject's follow-up."""
-    return np.minimum(dropout, np.maximum(censoring.analysis_time - entry, 0.0))
+    return np.minimum(dropout, np.maximum(censoring.analysis_time - entry, 0.0), out=out)
 
 
 def draw_trial(
@@ -254,43 +260,64 @@ def _reduce_block(
 ) -> list[int]:
     """Draw one block of a kernel call into the buffers ``uniform``, ``unit``
     and ``dropout`` (one row per replication, n_max columns) and reduce every
-    run's prefix by groups, as the module docstring describes. Run k's event
-    counts and compensators, and with a ``random_km`` weight its Kaplan-Meier
-    weights, go to row k of ``n_events``, ``a0`` and ``km_weights``, one
-    column per replication. Returns each run's number of Kaplan-Meier
-    fallbacks.
+    run's prefix by groups, as the module docstring describes. ``uniform``
+    is overwritten with the censoring times U. Run k's event counts and
+    compensators, and with a ``random_km`` weight its Kaplan-Meier weights,
+    go to row k of ``n_events``, ``a0`` and ``km_weights``, one column per
+    replication. Returns each run's number of Kaplan-Meier fallbacks.
+
+    A constant-ratio group makes one pass per distinct ratio c, at the
+    widest n of c's runs. Every size's N is a cumulative sum of the event
+    counts between c's sorted distinct sizes. Each run's A0 is the row sum
+    of its prefix view of min(c E, K): the same pairwise sum over the same
+    elements as for the run alone, so no run's results depend on the
+    other runs of its block.
     """
     censoring = runs[0].spec.censoring
     drawn_dropout = _draw_subjects(censoring, rng, uniform, unit, dropout)
+    # U once per block, in place of the entry uniforms, in n_max-wide chunks
+    step = max(1, _CHUNK_ELEMENTS // uniform.shape[1])
+    for start in range(0, len(uniform), step):
+        rows = slice(start, start + step)
+        entry = censoring.accrual.quantile(uniform[rows])
+        _censor_time(censoring, entry, drawn_dropout[rows], out=uniform[rows])
     ratios = [
         None if None in run.weights else _null_hazard_ratio(run.spec.null_model, run.spec.truth_model)
         for run in runs
     ]
     # keyed by the null law object (a law need not be hashable), and by the
-    # run too when it is not constant-ratio; groups of one width share chunks
+    # run too when it is not constant-ratio; a group lists its runs by ratio
+    # (None for a run that reads times); groups of one width share chunks
     groups, by_width = {}, {}
     for k, run in enumerate(runs):
-        groups.setdefault((id(run.spec.null_model), k if ratios[k] is None else None), []).append(k)
+        key = (id(run.spec.null_model), k if ratios[k] is None else None)
+        groups.setdefault(key, {}).setdefault(ratios[k], []).append(k)
     for group in groups.values():
-        by_width.setdefault(max(runs[k].spec.n for k in group), []).append(group)
+        ks = [k for members in group.values() for k in members]
+        by_width.setdefault(max(runs[k].spec.n for k in ks), []).append((runs[ks[0]].spec.null_model, group))
     fallbacks = [0] * len(runs)
     for width, width_groups in by_width.items():
         step = max(1, _CHUNK_ELEMENTS // width)
         for start in range(0, len(unit), step):
             rows = slice(start, min(start + step, len(unit)))
-            entry = censoring.accrual.quantile(uniform[rows, :width])
-            censor = _censor_time(censoring, entry, drawn_dropout[rows, :width])
-            for group in width_groups:
-                null = runs[group[0]].spec.null_model
-                if ratios[group[0]] is not None:
+            censor = uniform[rows, :width]
+            for null, group in width_groups:
+                if None not in group:
                     null_censor = null.cum_hazard(censor)
-                    for k in group:
-                        n = runs[k].spec.n
-                        null_event, k_n = ratios[k] * unit[rows, :n], null_censor[:, :n]
-                        n_events[k, rows] = (null_event <= k_n).sum(axis=1)
-                        a0[k, rows] = np.minimum(null_event, k_n).sum(axis=1)
+                    for ratio, ks in group.items():
+                        sizes = sorted({runs[k].spec.n for k in ks})
+                        w = sizes[-1]
+                        null_event, k_w = ratio * unit[rows, :w], null_censor[:, :w]
+                        # events between consecutive sizes, then up to each size
+                        counts = np.add.reduceat(null_event <= k_w, [0, *sizes[:-1]], axis=1, dtype=np.int64)
+                        counts = counts.cumsum(axis=1)
+                        compensator = np.minimum(null_event, k_w, out=null_event)
+                        for k in ks:
+                            n = runs[k].spec.n
+                            n_events[k, rows] = counts[:, sizes.index(n)]
+                            a0[k, rows] = compensator[:, :n].sum(axis=1)
                     continue
-                (k,) = group
+                (k,) = group[None]
                 run = runs[k]
                 event_time = run.spec.truth_model.inverse_cum_hazard(unit[rows, :width])
                 event = event_time <= censor

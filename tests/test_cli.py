@@ -469,6 +469,18 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert keys == []
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        def no_tally(runs, workers):
+            raise AssertionError("the scenario was simulated")
+
+        monkeypatch.setattr(simulate, "_tally", no_tally)
+        cfg = put(tmp_path, "sim.yaml", SIMULATE_YAML)
+        assert main(["simulate", "--config", cfg, "--workers", workers]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --workers must be at least 1" in captured.err
+
     @pytest.mark.parametrize("text", [SIMULATE_YAML, "preset: pbc\nseed: 3\ninclude_power: false\n"],
                              ids=["scenario", "preset"])
     def test_report_names_the_stream_version(self, tmp_path, text):

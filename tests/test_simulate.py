@@ -125,11 +125,12 @@ class TestBlockReduction:
     REPS = 700  # a group's row chunks fit its width: two at width 60, four at 150
 
     @staticmethod
-    def reduce(runs, reps):
-        """Reduce a block of a kernel call holding ``runs`` on stream (8, 3);
-        returns per run its (N, A0, Kaplan-Meier weights, fallbacks) over all
-        rows, the weights NaN where the run has no ``random_km`` weight."""
-        n_max = max(run.spec.n for run in runs)
+    def reduce(runs, reps, n_max=None):
+        """Reduce a block of a kernel call holding ``runs`` on stream (8, 3),
+        drawn at ``n_max`` (by default the runs' largest n); returns per run
+        its (N, A0, Kaplan-Meier weights, fallbacks) over all rows, the
+        weights NaN where the run has no ``random_km`` weight."""
+        n_max = n_max or max(run.spec.n for run in runs)
         buffers = [np.empty((reps, n_max)) for _ in range(3)]
         n_events, a0 = np.empty((len(runs), reps), dtype=np.int64), np.empty((len(runs), reps))
         km_weights = np.full((len(runs), reps), np.nan)
@@ -215,6 +216,28 @@ class TestBlockReduction:
         for run, reduced in zip(runs, self.reduce(runs, self.REPS)):
             oracle = draw_trial(run.spec.truth_model, censoring, substream(8, 3), self.REPS, 150)
             self.assert_matches(run, reduced, oracle)
+
+    @pytest.mark.parametrize("accrual", ACCRUALS)
+    @pytest.mark.parametrize("dropout", DROPOUTS)
+    def test_a_run_reduces_as_if_alone(self, dropout, accrual):
+        # two ratios of one null-law object at sizes 1, 60 and 150, a second
+        # run of one (ratio, n), a run that is not constant-ratio and a
+        # random_km run: each run's N, A0 and Kaplan-Meier weights are bit for
+        # bit those of a block that holds it alone, drawn as wide
+        null = self.WEIBULL
+        alternative = hazard_ratio_alternative(null, 1.6)
+        cases = [(truth, n, (0.5,)) for truth in (null, alternative) for n in (1, 60, 150)]
+        cases += [(alternative, 60, (0.3,)), (Weibull(0.8, 3.0), 60, (0.5,)), (null, 100, (None,))]
+        censoring = CensoringModel(self.ACCRUALS[accrual], self.DROPOUTS[dropout], 3.0)
+        runs = [
+            simulate._Run(make_spec(truth_model=truth, null_model=null, censoring=censoring, n=n,
+                                    replications=self.REPS), weights, km_fallback=0.25)
+            for truth, n, weights in cases
+        ]
+        for run, together in zip(runs, self.reduce(runs, self.REPS)):
+            (alone,) = self.reduce([run], self.REPS, n_max=150)
+            for field_together, field_alone in zip(together, alone):
+                assert np.array_equal(field_together, field_alone, equal_nan=True)
 
 
 class TestRunScenarioDeterminism:
